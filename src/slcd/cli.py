@@ -678,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lambda values")
     p.add_argument("--m", type=int, default=None, help="sample count (default 1000)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for grid cells (default 1)")
+                   help="worker processes for grid cells (default 1)")
     p.add_argument("--out", default=None, metavar="FILE", help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -695,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated dataset ids (default 1,2,3,4,5)")
     p.add_argument("--m", type=int, default=None, help="sample count (default 1000)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for sweep cells (default 1)")
+                   help="worker processes for sweep cells (default 1)")
     p.add_argument("--sigma-grid", default=None, metavar="LIST",
                    help="sweep sigma values (figures only)")
     p.add_argument("--lambda-grid", default=None, metavar="LIST",

@@ -8,9 +8,10 @@ precision/recall of the extracted edge set against the true links.
 from __future__ import annotations
 
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -247,6 +248,9 @@ def sweep(dataset_id: int,
     The data is generated once; each cell runs fresh restarts with a
     solver seed derived deterministically from controls.seed and the
     cell index, so results do not depend on execution order or on jobs.
+    With jobs > 1 the cells run in min(jobs, cells, CPU count) spawned
+    worker processes, so a script that calls this at its top level needs
+    the usual ``if __name__ == "__main__":`` guard.
     A cell whose solve aborts is recorded with its error and the sweep
     continues.
     """
@@ -267,12 +271,20 @@ def sweep(dataset_id: int,
         controls_cell = replace(controls, seed=_cell_seed(controls.seed, idx))
         tasks.append((hp_cell, controls_cell))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(
-                lambda t: _run_cell(data, D_true, t[0], t[1], theta), tasks))
+    run = partial(_run_cell, data, D_true, theta=theta)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        # Processes, not threads: the solver is Python-bound and holds
+        # the interpreter lock. Spawned workers import slcd afresh, so a
+        # module attribute rebound in this process does not reach them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            cells = list(pool.map(run, *zip(*tasks)))
     else:
-        cells = [_run_cell(data, D_true, hp_cell, cc, theta) for hp_cell, cc in tasks]
+        cells = [run(hp_cell, cc) for hp_cell, cc in tasks]
     return SweepResult(
         dataset_id=int(dataset_id),
         sigma_grid=sigma_grid,

@@ -10,6 +10,8 @@ are checked against finite differences in the test suite.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +41,22 @@ __all__ = [
 EPS_REL = 1e-8
 
 
+def _require_finite(**values) -> None:
+    """Reject anything but a finite real number, with a ValueError that
+    names the field."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+def _require_integer(**values) -> None:
+    """Reject anything but an integer (bool included), with a ValueError
+    that names the field."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Algorithm hyperparameters.
@@ -59,6 +77,10 @@ class Hyperparams:
     restarts: int = 20
 
     def __post_init__(self):
+        _require_finite(sigma=self.sigma, lam=self.lam, **{
+            name: getattr(self, name) for name in ("eps1", "eps2")
+            if getattr(self, name) is not None})
+        _require_integer(tau=self.tau, iterations=self.iterations, restarts=self.restarts)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.lam < 0:

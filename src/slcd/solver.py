@@ -8,10 +8,13 @@ sparse candidate after each threshold step is scored with the penalized
 objective at a fixed reference weight, and the best-scoring candidate
 across all restarts wins.
 
-The relaxed solve is a dense SQP: at each iterate a quadratic model
-with a damped-BFGS Hessian is minimized subject to the two linearized
-constraints (an active-set enumeration suffices for two inequalities),
-and an l1 merit function with Armijo backtracking accepts the step.
+The relaxed solve is a dense SQP on H, a damped-BFGS approximation of
+the inverse Hessian of the Lagrangian. Each iterate minimizes the
+quadratic model subject to the two linearized constraints; the four
+candidate active sets of two inequalities are each solved in closed
+form from the products of H with the gradients. An l1 merit function
+with Armijo backtracking accepts the step, evaluating trial points
+without gradients.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -21,13 +24,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .datagen import Dataset, center
-from .objective import Hyperparams, objective
+from .objective import (Hyperparams, _require_finite, _require_integer, objective,
+                        resolve_epsilons)
 from .scm_core import StructuralMatrix
 
 __all__ = [
@@ -69,6 +72,11 @@ class SolverControls:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(step_init=self.step_init, backtrack_factor=self.backtrack_factor,
+                        armijo_c=self.armijo_c, penalty_mu_init=self.penalty_mu_init,
+                        penalty_growth=self.penalty_growth, grad_tol=self.grad_tol)
+        _require_integer(max_inner_steps=self.max_inner_steps,
+                         penalty_outer_rounds=self.penalty_outer_rounds, seed=self.seed)
         if self.max_inner_steps < 1:
             raise ValueError("max_inner_steps must be positive")
         if not 0 < self.backtrack_factor < 1:
@@ -77,6 +85,8 @@ class SolverControls:
             raise ValueError("armijo_c must be in (0, 1)")
         if not self.step_init > 0:
             raise ValueError("step_init must be positive")
+        if self.penalty_mu_init < 0:
+            raise ValueError("penalty_mu_init must be non-negative")
         if not self.penalty_growth > 1:
             raise ValueError("penalty_growth must exceed 1")
         if self.penalty_outer_rounds < 1:
@@ -91,17 +101,7 @@ class SolverControls:
         return self.penalty_mu_init * self.penalty_growth ** (self.penalty_outer_rounds - 1)
 
     def to_json(self) -> dict:
-        return {
-            "max_inner_steps": self.max_inner_steps,
-            "step_init": self.step_init,
-            "backtrack_factor": self.backtrack_factor,
-            "armijo_c": self.armijo_c,
-            "penalty_mu_init": self.penalty_mu_init,
-            "penalty_growth": self.penalty_growth,
-            "penalty_outer_rounds": self.penalty_outer_rounds,
-            "grad_tol": self.grad_tol,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolverControls":
@@ -186,85 +186,77 @@ class _Workspace:
         self.Sigma = np.asarray(Sigma, dtype=float)
         self.sd = np.asarray(sigma_diag, dtype=float)
         self.I = np.eye(self.n)
-        self.sigma = hp.sigma
+        self.k = -1.0 / (hp.sigma * hp.sigma)
         self.lam = hp.lam
-        from .objective import resolve_epsilons
-
         self.eps1, self.eps2 = resolve_epsilons(hp, X, self.Sigma)
 
-    def fg(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Smooth part (rank + lam * trace surrogates) and its gradient."""
-        n = self.n
+    def evaluate(self, z: np.ndarray, jac: bool = True):
+        """The smooth part f (rank + lam * trace surrogates) and the
+        constraint values c (residual minus slack) at the flattened
+        matrix z, and with jac the 3 x n^2 Jacobian whose rows are the
+        gradients of f, c[0] and c[1] (else None)."""
+        n, k = self.n, self.k
         D = z.reshape(n, n)
-        U, s, Vt = np.linalg.svd(D)
-        sig2 = self.sigma * self.sigma
-        f = float(np.sum(1.0 - np.exp(-(s * s) / sig2)))
-        d = np.diag(D)
-        f += self.lam * float(np.sum(1.0 - np.exp(-(d * d) / sig2)))
-        g = (U * (2.0 * s / sig2 * np.exp(-(s * s) / sig2))) @ Vt
-        g[np.arange(n), np.arange(n)] += self.lam * (2.0 * d / sig2) * np.exp(-(d * d) / sig2)
-        return f, g.ravel()
-
-    def cons(self, z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Constraint values (residual minus slack) and their gradients."""
-        n = self.n
-        D = z.reshape(n, n)
+        d = D.diagonal()
+        if jac:
+            U, s, Vt = np.linalg.svd(D)
+        else:
+            s = np.linalg.svd(D, compute_uv=False)
+        # Python floats: for a handful of values this beats numpy's per-call cost
+        sl, dl = s.tolist(), d.tolist()
+        f = (n - sum([math.exp(k * x * x) for x in sl])
+             + self.lam * (n - sum([math.exp(k * x * x) for x in dl])))
         E = self.I - D
-        recon = float(np.sum((E @ self.G) * E))
-        R = self.Sigma - (D * self.sd) @ D.T
-        cov = float(np.sum(R * R))
-        a1 = (-2.0 * (E @ self.G)).ravel()
-        a2 = (-4.0 * (R @ (D * self.sd))).ravel()
-        return np.array([recon - self.eps1, cov - self.eps2]), [a1, a2]
+        EG = E @ self.G
+        Dsd = D * self.sd
+        R = self.Sigma - Dsd @ D.T
+        c = (float(np.vdot(EG, E)) - self.eps1, float(np.vdot(R, R)) - self.eps2)
+        if not jac:
+            return f, c, None
+        J = np.empty((3, n * n))
+        Jm = J.reshape(3, n, n)
+        np.matmul(U * ((-2.0 * k) * s * np.exp(k * (s * s))), Vt, out=Jm[0])
+        J[0, ::n + 1] -= (2.0 * k * self.lam) * d * np.exp(k * (d * d))
+        np.multiply(EG, -2.0, out=Jm[1])
+        np.matmul(R, Dsd, out=Jm[2])
+        J[2] *= -4.0
+        return f, c, J
 
 
-def _qp_solve(B, g, A, c):
-    """min g.p + 0.5 p.B.p subject to A[i].p + c[i] <= 0, by active-set
-    enumeration (at most two constraints). Returns (step, multipliers)
-    or (None, None) when B is not usable."""
-    k = len(A)
-    try:
-        Bf = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
+def _qp_solve(H, J, c):
+    """min g.p + 0.5 p.B.p subject to a_i.p + c[i] <= 0 for i = 0, 1,
+    where H = B^-1 and the rows of J are g, a_0 and a_1. The candidate
+    active sets are tried in the order {}, {0}, {1}, {0, 1}, each solved
+    in closed form from the products of H with the rows of J. Returns
+    (step, (lambda_0, lambda_1)) or (None, None) when no candidate is
+    usable."""
+    W = J @ H  # rows H g, H a_0, H a_1 (H is symmetric)
+    (gHg, g0, g1), (_, s00, s01), (_, s10, s11) = (J @ W.T).tolist()
+    if not 0.0 <= gHg < math.inf:  # g.H.g < 0 (H lost definiteness) or overflow
         return None, None
-
-    def bsolve(v):
-        return np.linalg.solve(Bf.T, np.linalg.solve(Bf, v))
-
-    p0 = -bsolve(g)
-    if all(A[i] @ p0 + c[i] <= 1e-10 * max(1.0, abs(c[i])) for i in range(k)):
-        return p0, np.zeros(k)
-    best = None
-    for size in (1, 2):
-        if size > k:
-            break
-        for act in combinations(range(k), size):
-            Am = np.array([A[i] for i in act])
-            BiA = np.array([bsolve(Am[j]) for j in range(size)]).T
-            S = Am @ BiA
-            rhs = np.array([c[i] for i in act]) + Am @ p0
-            try:
-                lam = np.linalg.solve(S, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam < -1e-12):
-                continue
-            p = p0 - BiA @ lam
-            ok = True
-            for i in range(k):
-                if i not in act and A[i] @ p + c[i] > 1e-8 * max(1.0, abs(c[i])):
-                    ok = False
-                    break
-            lams = np.zeros(k)
-            for j, i in enumerate(act):
-                lams[i] = lam[j]
-            if ok:
-                return p, lams
-            if best is None:
-                best = (p, lams)
-    if best is not None:
-        return best
-    return None, None
+    p0 = -W[0]
+    # residuals of the linearized constraints at p0
+    r0, r1 = c[0] - g0, c[1] - g1
+    tol0, tol1 = max(1.0, abs(c[0])), max(1.0, abs(c[1]))
+    if r0 <= 1e-10 * tol0 and r1 <= 1e-10 * tol1:
+        return p0, (0.0, 0.0)
+    # (multipliers, whether the constraint left out of the set holds)
+    candidates = []
+    if s00 != 0.0:
+        l0 = r0 / s00
+        candidates.append(((l0, 0.0), r1 - s10 * l0 <= 1e-8 * tol1))
+    if s11 != 0.0:
+        l1 = r1 / s11
+        candidates.append(((0.0, l1), r0 - s01 * l1 <= 1e-8 * tol0))
+    det = s00 * s11 - s01 * s10
+    if det != 0.0:
+        candidates.append((((s11 * r0 - s01 * r1) / det, (s00 * r1 - s10 * r0) / det), True))
+    usable = [(lams, ok) for lams, ok in candidates if min(lams) >= -1e-12]
+    if not usable:
+        return None, None
+    # the first candidate that is feasible, else the first usable one
+    lams = next((lams for lams, ok in usable if ok), usable[0][0])
+    return p0 - lams[0] * W[1] - lams[1] * W[2], lams
 
 
 def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.ndarray, int]:
@@ -273,69 +265,72 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
     n = ws.n
     nv = n * n
     z = np.asarray(D0, dtype=float).ravel().copy()
-    B = np.eye(nv)
+    H = np.eye(nv)
     nu = controls.penalty_mu_init
 
-    f, g = ws.fg(z)
-    c, A = ws.cons(z)
+    f, c, J = ws.evaluate(z)
     iters = 0
-    if not (np.isfinite(f) and np.all(np.isfinite(c))):
+    if not (math.isfinite(f) and math.isfinite(c[0]) and math.isfinite(c[1])):
         return z.reshape(n, n), iters
     for it in range(controls.max_inner_steps):
         iters = it + 1
-        p, lams = _qp_solve(B, g, A, c)
+        p, lams = _qp_solve(H, J, c)
         if p is None:
-            B = np.eye(nv)
-            p, lams = _qp_solve(B, g, A, c)
+            H = np.eye(nv)
+            p, lams = _qp_solve(H, J, c)
+        restoring = p is None
+        viol0 = max(c[0], 0.0) + max(c[1], 0.0)
         alpha0 = 1.0
-        if p is None:
-            viol = max(c[0], 0.0) + max(c[1], 0.0)
-            if viol <= 0.0:
+        if restoring:
+            if viol0 <= 0.0:
                 break
-            p = -(max(c[0], 0.0) * np.asarray(A[0]) + max(c[1], 0.0) * np.asarray(A[1]))
-            pn = np.linalg.norm(p)
+            p = -(max(c[0], 0.0) * J[1] + max(c[1], 0.0) * J[2])
+            pn = math.sqrt(float(p @ p))
             if pn < 1e-300:
                 break
             p /= pn
-            lams = np.zeros(2)
+            lams = (0.0, 0.0)
             alpha0 = controls.step_init
-        nu = max(nu, 2.0 * float(np.max(np.abs(lams))) + 1.0)
-        viol0 = max(c[0], 0.0) + max(c[1], 0.0)
+        nu = max(nu, 2.0 * max(abs(lams[0]), abs(lams[1])) + 1.0)
         phi0 = f + nu * viol0
-        dphi = float(g @ p) - nu * viol0
-        if dphi > -1e-16:
-            dphi = -1e-16
-        pn = float(np.linalg.norm(p))
+        dphi = min(float(J[0] @ p) - nu * viol0, -1e-16)
+        pn = math.sqrt(float(p @ p))
         if pn < controls.grad_tol and viol0 <= 0.0:
             break
         alpha = alpha0
-        ok = False
         while alpha > 1e-16:
             zn = z + alpha * p
-            fn, gn = ws.fg(zn)
-            cn, An = ws.cons(zn)
+            fn, cn, _ = ws.evaluate(zn, jac=False)
             phin = fn + nu * (max(cn[0], 0.0) + max(cn[1], 0.0))
-            if np.isfinite(phin) and phin <= phi0 + controls.armijo_c * alpha * dphi:
-                ok = True
+            if math.isfinite(phin) and phin <= phi0 + controls.armijo_c * alpha * dphi:
                 break
             alpha *= controls.backtrack_factor
-        if not ok:
+        else:  # no trial point passed the Armijo test
             break
-        gl_old = g + lams[0] * np.asarray(A[0]) + lams[1] * np.asarray(A[1])
-        gl_new = gn + lams[0] * np.asarray(An[0]) + lams[1] * np.asarray(An[1])
+        fn, cn, Jn = ws.evaluate(zn)
+        # Damped BFGS on the Lagrangian gradient, applied to H = B^-1.
+        # B s comes from the QP's stationarity, B p = -(g + A^T lams);
+        # a restoration step was taken with H = B = I.
+        weights = np.array((1.0, *lams))
+        gl_old = weights @ J
         s_vec = zn - z
-        y_vec = gl_new - gl_old
-        sBs = float(s_vec @ (B @ s_vec))
+        y_vec = weights @ Jn - gl_old
+        Bs = s_vec if restoring else -alpha * gl_old
+        sBs = float(s_vec @ Bs)
         sy = float(s_vec @ y_vec)
         if sy < 0.2 * sBs:
             theta = 0.8 * sBs / max(sBs - sy, 1e-300)
-            y_vec = theta * y_vec + (1.0 - theta) * (B @ s_vec)
+            y_vec = theta * y_vec + (1.0 - theta) * Bs
             sy = float(s_vec @ y_vec)
         if sy > 1e-300:
-            Bs = B @ s_vec
-            B = B - np.outer(Bs, Bs) / sBs + np.outer(y_vec, y_vec) / sy
-        z, f, g, c, A = zn, fn, gn, cn, An
-        if float(np.linalg.norm(alpha * p)) < 1e-14:
+            # H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T
+            Hy = H @ y_vec
+            rho = 1.0 / sy
+            w = (0.5 * rho * (1.0 + rho * float(y_vec @ Hy))) * s_vec - rho * Hy
+            H += np.outer(s_vec, w)
+            H += np.outer(w, s_vec)
+        z, f, c, J = zn, fn, cn, Jn
+        if alpha * pn < 1e-14:
             break
     return z.reshape(n, n), iters
 
@@ -415,7 +410,10 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     n, m = X.shape
     Sigma = (X @ X.T) / m
     sd = np.diag(Sigma).copy()
-    hp_res = hp.with_resolved_epsilons(X, Sigma)
+    try:
+        hp_res = hp.with_resolved_epsilons(X, Sigma)
+    except ValueError:  # non-finite data: every restart aborts below
+        hp_res = hp
     tau_eff = min(hp_res.tau, n)
     mu = controls.final_penalty_weight
     ws = _Workspace(X, Sigma, sd, hp_res)

@@ -147,6 +147,19 @@ def test_discover_invalid_tau_is_usage_error(ds2_csv, capsys) -> None:
     assert "invalid hyperparameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_text", ['{"tau": 2.5}', '{"lambda": NaN}'])
+def test_discover_invalid_config_value_is_usage_error(ds2_csv, tmp_path, capsys,
+                                                     config_text) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(config_text)
+    assert run("discover", "--data", ds2_csv, "--config", str(config),
+               "--restarts", "1", "--iterations", "1",
+               "--out", str(tmp_path / "result.json")) == 2
+    err = capsys.readouterr().err
+    assert "invalid hyperparameters" in err
+    assert "Traceback" not in err
+
+
 def test_discover_nan_data_aborts_with_diagnostics(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(["nan,nan,nan"] * 40) + "\n")

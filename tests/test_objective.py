@@ -74,6 +74,10 @@ def test_hyperparams_validation() -> None:
         Hyperparams(eps1=-1e-9)
     with pytest.raises(ValueError):
         Hyperparams(restarts=0)
+    for bad in (dict(lam=float("nan")), dict(sigma=float("inf")), dict(eps2=float("nan")),
+                dict(sigma="0.3"), dict(tau=2.5), dict(iterations=3.0), dict(restarts=True)):
+        with pytest.raises(ValueError):
+            Hyperparams(**bad)
 
 
 def test_hyperparams_json_round_trip() -> None:

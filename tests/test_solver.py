@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slcd import (
     Dataset,
@@ -21,9 +23,11 @@ from slcd import (
     sample,
     sample_covariance,
     slcd,
+    smoothed_rank,
+    smoothed_trace,
     solve_relaxed,
 )
-from slcd.solver import objective_of
+from slcd.solver import _qp_solve, _Workspace, objective_of
 from conftest import PAIR_SUM_ALIAS
 
 
@@ -53,6 +57,11 @@ def test_controls_validation() -> None:
         SolverControls(max_inner_steps=0)
     with pytest.raises(ValueError):
         SolverControls(seed=-1)
+    for bad in (dict(grad_tol=float("nan")), dict(step_init=float("inf")),
+                dict(penalty_mu_init=float("nan")), dict(penalty_mu_init=-1.0), dict(seed=1.5),
+                dict(max_inner_steps=10.0), dict(penalty_outer_rounds=2.5)):
+        with pytest.raises(ValueError):
+            SolverControls(**bad)
 
 
 def test_controls_json_round_trip() -> None:
@@ -295,3 +304,69 @@ def test_slcd_identical_on_saved_and_loaded_data(tmp_path) -> None:
     b = slcd(back, hp, ctl)
     assert a.J_min == b.J_min
     assert a.D_opt.tobytes() == b.D_opt.tobytes()
+
+
+# ---------------------------------------------------------------- kernels
+
+
+@given(seed=st.integers(0, 2**32 - 1), nv=st.integers(2, 12),
+       c_scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_qp_solve_step_satisfies_kkt(seed: int, nv: int, c_scale: float) -> None:
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((nv, nv))
+    H = M @ M.T + 0.5 * np.eye(nv)
+    g = rng.standard_normal(nv)
+    A = rng.standard_normal((2, nv))
+    c = c_scale * rng.standard_normal(2)
+    p, lams = _qp_solve(H, np.vstack((g, A)), c)
+    assert p is not None
+    lams = np.asarray(lams)
+    B = np.linalg.inv(H)
+    slack = A @ p + c
+    scale = 1.0 + np.abs(c) + np.linalg.norm(A, axis=1) * np.linalg.norm(p)
+    assert np.all(slack <= 1e-8 * scale)
+    assert np.all(lams >= -1e-12)
+    assert np.all(np.abs(lams * slack) <= 1e-8 * scale * (1.0 + lams))
+    stationarity = B @ p + g + A.T @ lams
+    assert np.linalg.norm(stationarity) <= 1e-8 * (
+        1.0 + np.linalg.norm(B @ p) + np.linalg.norm(g) + np.linalg.norm(A.T @ lams))
+
+
+def _workspace(ds_id: int = 3, m: int = 200):
+    spec, ds, Sigma, sd, hp = _problem(ds_id, m=m)
+    return _Workspace(ds.X, Sigma, sd, hp), ds, Sigma, sd, hp
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_workspace_evaluate_matches_objective(seed: int) -> None:
+    ws, ds, Sigma, sd, hp = _workspace()
+    D = np.random.default_rng(seed).uniform(-1, 1, (ws.n, ws.n))
+    f, c, J = ws.evaluate(D.ravel())
+    recon, cov = residuals(D, ds.X, Sigma, sd)
+    assert f == pytest.approx(
+        smoothed_rank(D, hp.sigma) + hp.lam * smoothed_trace(D, hp.sigma), rel=1e-12)
+    assert c[0] + hp.eps1 == pytest.approx(recon, rel=1e-10)
+    assert c[1] + hp.eps2 == pytest.approx(cov, rel=1e-10)
+    assert J.shape == (3, ws.n * ws.n)
+    f_only, c_only, none = ws.evaluate(D.ravel(), jac=False)
+    assert none is None
+    assert f_only == pytest.approx(f, rel=1e-12)
+    assert c_only == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_workspace_jacobian_matches_finite_differences(seed: int) -> None:
+    ws, *_ = _workspace()
+    z = np.random.default_rng(seed).uniform(-1, 1, ws.n * ws.n)
+    _, _, J = ws.evaluate(z)
+    h = 1e-6
+    fd = np.empty_like(J)
+    for i in range(z.size):
+        e = np.zeros_like(z)
+        e[i] = h
+        fp, cp, _ = ws.evaluate(z + e, jac=False)
+        fm, cm, _ = ws.evaluate(z - e, jac=False)
+        fd[:, i] = (np.array([fp, *cp]) - np.array([fm, *cm])) / (2 * h)
+    for row in range(3):
+        denom = max(1.0, float(np.max(np.abs(fd[row]))))
+        assert float(np.max(np.abs(J[row] - fd[row]))) / denom < 1e-5
