@@ -15,6 +15,17 @@ candidate active sets of two inequalities are each solved in closed
 form from the products of H with the gradients. An l1 merit function
 with Armijo backtracking accepts the step, evaluating trial points
 without gradients.
+
+All restarts are solved together: one SQP call advances a (k, n, n)
+stack of iterates in lockstep, with one stacked SVD per evaluation and
+stacked products for the QP and the BFGS update, while the per-restart
+scalars (step, merit weight, stop tests) stay Python floats. A restart
+leaves the stack when its own solve stops. The backtracking runs as a
+ladder: in each round every restart still searching evaluates its next
+1, then 2, then 4, ... trial steps in one stacked call and takes the
+first that passes, the same step as one-at-a-time backtracking in about
+log2 as many rounds. Every row is computed on its own, so a restart's
+iterates are bit-identical whatever the stack it runs in.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -111,7 +122,9 @@ class SolverControls:
 @dataclass(frozen=True)
 class RestartRecord:
     """Diagnostics for one restart: its best candidate's score and
-    residuals, the running minimum after it, and the work spent."""
+    residuals, the running minimum after it, and the work spent.
+    Restarts are solved in one stack, so wall_ms is the restart's share
+    of the run's time as slcd() apportions it."""
 
     index: int
     seed: int
@@ -188,58 +201,63 @@ class _Workspace:
         self.I = np.eye(self.n)
         self.k = -1.0 / (hp.sigma * hp.sigma)
         self.lam = hp.lam
-        self.eps1, self.eps2 = resolve_epsilons(hp, X, self.Sigma)
+        self.eps = np.array(resolve_epsilons(hp, X, self.Sigma))
+        # f = f0 - sum(w * exp(k x^2)) over the singular values, then the diagonal
+        self.f0 = self.n * (1.0 + hp.lam)
+        self.w = np.repeat((1.0, hp.lam), self.n)
 
-    def evaluate(self, z: np.ndarray, jac: bool = True):
+    def evaluate(self, Z: np.ndarray, jac: bool = True):
         """The smooth part f (rank + lam * trace surrogates) and the
-        constraint values c (residual minus slack) at the flattened
-        matrix z, and with jac the 3 x n^2 Jacobian whose rows are the
-        gradients of f, c[0] and c[1] (else None)."""
+        constraint values c (residual minus slack) of each row of Z, a
+        (k, n^2) stack of flattened matrices, as a (k,) and a (k, 2)
+        array; with jac also the (k, 3, n^2) Jacobians whose rows are the
+        gradients of f, c[:, 0] and c[:, 1] (else None). Every row is
+        computed on its own, so its values do not depend on the rest of
+        the stack."""
         n, k = self.n, self.k
-        D = z.reshape(n, n)
-        d = D.diagonal()
+        D = Z.reshape(-1, n, n)
         if jac:
             U, s, Vt = np.linalg.svd(D)
         else:
             s = np.linalg.svd(D, compute_uv=False)
-        # Python floats: for a handful of values this beats numpy's per-call cost
-        sl, dl = s.tolist(), d.tolist()
-        f = (n - sum([math.exp(k * x * x) for x in sl])
-             + self.lam * (n - sum([math.exp(k * x * x) for x in dl])))
+        d = Z[:, ::n + 1]
+        # exp(k x^2) of the singular values, then of the diagonal entries
+        e = np.concatenate((s, d), axis=1)
+        np.exp(k * (e * e), out=e)
+        f = self.f0 - np.add.reduce(e * self.w, axis=1)
         E = self.I - D
         EG = E @ self.G
         Dsd = D * self.sd
-        R = self.Sigma - Dsd @ D.T
-        c = (float(np.vdot(EG, E)) - self.eps1, float(np.vdot(R, R)) - self.eps2)
+        R = self.Sigma - Dsd @ D.transpose(0, 2, 1)
+        sq = np.empty((len(D), 2, n, n))
+        np.multiply(EG, E, out=sq[:, 0])
+        np.multiply(R, R, out=sq[:, 1])
+        c = np.add.reduce(sq.reshape(len(D), 2, -1), axis=2) - self.eps
         if not jac:
             return f, c, None
-        J = np.empty((3, n * n))
-        Jm = J.reshape(3, n, n)
-        np.matmul(U * ((-2.0 * k) * s * np.exp(k * (s * s))), Vt, out=Jm[0])
-        J[0, ::n + 1] -= (2.0 * k * self.lam) * d * np.exp(k * (d * d))
-        np.multiply(EG, -2.0, out=Jm[1])
-        np.matmul(R, Dsd, out=Jm[2])
-        J[2] *= -4.0
+        J = np.empty((len(D), 3, n * n))
+        Jm = J.reshape(len(D), 3, n, n)
+        np.matmul(U * ((-2.0 * k) * s * e[:, :n])[:, None, :], Vt, out=Jm[:, 0])
+        J[:, 0, ::n + 1] -= (2.0 * k * self.lam) * d * e[:, n:]
+        np.multiply(EG, -2.0, out=Jm[:, 1])
+        np.matmul(R * -4.0, Dsd, out=Jm[:, 2])
         return f, c, J
 
 
-def _qp_solve(H, J, c):
-    """min g.p + 0.5 p.B.p subject to a_i.p + c[i] <= 0 for i = 0, 1,
-    where H = B^-1 and the rows of J are g, a_0 and a_1. The candidate
-    active sets are tried in the order {}, {0}, {1}, {0, 1}, each solved
-    in closed form from the products of H with the rows of J. Returns
-    (step, (lambda_0, lambda_1)) or (None, None) when no candidate is
-    usable."""
-    W = J @ H  # rows H g, H a_0, H a_1 (H is symmetric)
-    (gHg, g0, g1), (_, s00, s01), (_, s10, s11) = (J @ W.T).tolist()
+def _active_set(M, c):
+    """The multipliers (lambda_0, lambda_1) of one closed-form QP step,
+    or None when no candidate active set is usable. M is the 3 x 3
+    matrix of products J H J^T (rows g, a_0, a_1 of J) and c the two
+    constraint values. The candidate active sets are tried in the order
+    {}, {0}, {1}, {0, 1}."""
+    (gHg, g0, g1), (_, s00, s01), (_, s10, s11) = M
     if not 0.0 <= gHg < math.inf:  # g.H.g < 0 (H lost definiteness) or overflow
-        return None, None
-    p0 = -W[0]
-    # residuals of the linearized constraints at p0
+        return None
+    # residuals of the linearized constraints at the unconstrained step
     r0, r1 = c[0] - g0, c[1] - g1
     tol0, tol1 = max(1.0, abs(c[0])), max(1.0, abs(c[1]))
     if r0 <= 1e-10 * tol0 and r1 <= 1e-10 * tol1:
-        return p0, (0.0, 0.0)
+        return 0.0, 0.0
     # (multipliers, whether the constraint left out of the set holds)
     candidates = []
     if s00 != 0.0:
@@ -253,86 +271,180 @@ def _qp_solve(H, J, c):
         candidates.append((((s11 * r0 - s01 * r1) / det, (s00 * r1 - s10 * r0) / det), True))
     usable = [(lams, ok) for lams, ok in candidates if min(lams) >= -1e-12]
     if not usable:
-        return None, None
+        return None
     # the first candidate that is feasible, else the first usable one
-    lams = next((lams for lams, ok in usable if ok), usable[0][0])
-    return p0 - lams[0] * W[1] - lams[1] * W[2], lams
+    return next((lams for lams, ok in usable if ok), usable[0][0])
 
 
-def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.ndarray, int]:
-    """One local solve of the relaxed problem from D0. Returns the final
-    iterate and the number of SQP iterations consumed."""
+def _qp_solve(H, J, c):
+    """For each member i of a stack: min g.p + 0.5 p.B.p subject to
+    a_j.p + c[i][j] <= 0 for j = 0, 1, where H[i] = B^-1 and the rows of
+    J[i] are g, a_0 and a_1. The products of H with the rows of J are
+    formed for the whole stack at once; _active_set picks each member's
+    multipliers. Returns the (k, n^2) steps and the list of multiplier
+    pairs, None for a member with no usable candidate (its step row is
+    then meaningless)."""
+    W = J @ H  # rows H g, H a_0, H a_1 (H is symmetric)
+    lams = [_active_set(M, ci) for M, ci in zip((J @ W.transpose(0, 2, 1)).tolist(), c)]
+    # p = -(H g + lambda_0 H a_0 + lambda_1 H a_1)
+    L = np.array([[(-1.0, -l[0], -l[1]) if l else (-1.0, 0.0, 0.0)] for l in lams])
+    return (L @ W)[:, 0], lams
+
+
+def _ladder(alpha: float, beta: float) -> list[float]:
+    """The Armijo trial steps alpha, alpha beta, alpha beta^2, ... above 1e-16."""
+    steps = []
+    while alpha > 1e-16:
+        steps.append(alpha)
+        alpha *= beta
+    return steps
+
+
+def _line_search(ws: _Workspace, z, P, rows, ladders, nu, phi0, dphi, armijo_c):
+    """Armijo backtracking on the l1 merit for several members at once.
+    Member rows[i] tries the steps ladders[i] in order and takes the
+    first that passes. Trials are evaluated in rounds: a member still
+    searching evaluates its next 1, then 2, then 4, ... steps in one
+    stacked call, so it accepts the same step as one-at-a-time
+    backtracking in about log2 as many rounds. Returns, per member, None
+    when no step passed, else (alpha, trial point)."""
+    out = [None] * len(rows)
+    pending = [i for i in range(len(rows)) if ladders[i]]
+    start, width = 0, 1
+    while pending:
+        trials = [ladders[i][start:start + width] for i in pending]
+        take = [rows[i] for i, steps in zip(pending, trials) for _ in steps]
+        alphas = [a for steps in trials for a in steps]
+        Zt = z.take(take, axis=0) + np.array(alphas)[:, None] * P.take(take, axis=0)
+        ft, ct, _ = ws.evaluate(Zt, jac=False)
+        ft, ct = ft.tolist(), ct.tolist()
+        base, still = 0, []
+        for i, steps in zip(pending, trials):
+            for t in range(base, base + len(steps)):
+                phin = ft[t] + nu[i] * (max(ct[t][0], 0.0) + max(ct[t][1], 0.0))
+                if math.isfinite(phin) and phin <= phi0[i] + armijo_c * alphas[t] * dphi[i]:
+                    out[i] = (alphas[t], Zt[t])
+                    break
+            else:
+                if start + width < len(ladders[i]):
+                    still.append(i)
+            base += len(steps)
+        pending = still
+        start += width
+        width *= 2
+    return out
+
+
+def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.ndarray, list[int]]:
+    """Local solves of the relaxed problem, one from each matrix of the
+    (k, n, n) stack D0, advanced in lockstep. A member leaves the stack
+    when its own solve stops, and follows the same path as it would in
+    a stack of one. Returns the (k, n, n) final iterates and the number
+    of SQP iterations each member consumed."""
     n = ws.n
     nv = n * n
-    z = np.asarray(D0, dtype=float).ravel().copy()
-    H = np.eye(nv)
-    nu = controls.penalty_mu_init
-
-    f, c, J = ws.evaluate(z)
-    iters = 0
-    if not (math.isfinite(f) and math.isfinite(c[0]) and math.isfinite(c[1])):
-        return z.reshape(n, n), iters
+    Z = np.array(D0, dtype=float).reshape(-1, nv)
+    iters = [0] * len(Z)
+    F, C, J = ws.evaluate(Z)
+    F, C = F.tolist(), C.tolist()
+    # the members still running, by index into Z, and their state row by row
+    idx = [i for i in range(len(Z))
+           if math.isfinite(F[i]) and math.isfinite(C[i][0]) and math.isfinite(C[i][1])]
+    z, J = Z[idx], J[idx]
+    f, c = [F[i] for i in idx], [C[i] for i in idx]
+    H = np.tile(np.eye(nv), (len(idx), 1, 1))
+    nu = [controls.penalty_mu_init] * len(idx)
+    full_steps = _ladder(1.0, controls.backtrack_factor)
+    restore_steps = _ladder(controls.step_init, controls.backtrack_factor)
     for it in range(controls.max_inner_steps):
-        iters = it + 1
-        p, lams = _qp_solve(H, J, c)
-        if p is None:
-            H = np.eye(nv)
-            p, lams = _qp_solve(H, J, c)
-        restoring = p is None
-        viol0 = max(c[0], 0.0) + max(c[1], 0.0)
-        alpha0 = 1.0
-        if restoring:
-            if viol0 <= 0.0:
-                break
-            p = -(max(c[0], 0.0) * J[1] + max(c[1], 0.0) * J[2])
-            pn = math.sqrt(float(p @ p))
-            if pn < 1e-300:
-                break
-            p /= pn
-            lams = (0.0, 0.0)
-            alpha0 = controls.step_init
-        nu = max(nu, 2.0 * max(abs(lams[0]), abs(lams[1])) + 1.0)
-        phi0 = f + nu * viol0
-        dphi = min(float(J[0] @ p) - nu * viol0, -1e-16)
-        pn = math.sqrt(float(p @ p))
-        if pn < controls.grad_tol and viol0 <= 0.0:
+        if not idx:
             break
-        alpha = alpha0
-        while alpha > 1e-16:
-            zn = z + alpha * p
-            fn, cn, _ = ws.evaluate(zn, jac=False)
-            phin = fn + nu * (max(cn[0], 0.0) + max(cn[1], 0.0))
-            if math.isfinite(phin) and phin <= phi0 + controls.armijo_c * alpha * dphi:
+        P, lams = _qp_solve(H, J, c)
+        reset = [r for r, l in enumerate(lams) if l is None]
+        if reset:
+            H[reset] = np.eye(nv)
+            P[reset], retry = _qp_solve(H[reset], J[reset], [c[r] for r in reset])
+            for r, l in zip(reset, retry):
+                lams[r] = l
+        restoring = [l is None for l in lams]
+        viol0 = [max(c0, 0.0) + max(c1, 0.0) for c0, c1 in c]
+        stopped = set()
+        for r in (r for r in reset if restoring[r]):
+            if viol0[r] <= 0.0:
+                stopped.add(r)
+                continue
+            p = -(max(c[r][0], 0.0) * J[r, 1] + max(c[r][1], 0.0) * J[r, 2])
+            norm = math.sqrt(float(p @ p))
+            if norm < 1e-300:
+                stopped.add(r)
+                continue
+            P[r] = p / norm
+            lams[r] = (0.0, 0.0)
+        gp = (J[:, 0] * P).sum(axis=1).tolist()
+        pn = np.sqrt((P * P).sum(axis=1)).tolist()
+        rows, ladders, nus, phi0, dphi = [], [], [], [], []
+        for r in range(len(idx)):
+            if r in stopped:
+                continue
+            nu[r] = max(nu[r], 2.0 * max(abs(lams[r][0]), abs(lams[r][1])) + 1.0)
+            if pn[r] < controls.grad_tol and viol0[r] <= 0.0:
+                continue
+            rows.append(r)
+            ladders.append(restore_steps if restoring[r] else full_steps)
+            nus.append(nu[r])
+            phi0.append(f[r] + nu[r] * viol0[r])
+            dphi.append(min(gp[r] - nu[r] * viol0[r], -1e-16))
+        hits = dict(zip(rows, _line_search(ws, z, P, rows, ladders, nus, phi0, dphi,
+                                           controls.armijo_c)))
+        # a member stops with its iterate when no step passed, and after a negligible step
+        keep = [r for r in rows if hits[r] is not None and hits[r][0] * pn[r] >= 1e-14]
+        if len(keep) < len(idx):
+            for r in set(range(len(idx))).difference(keep):
+                Z[idx[r]] = z[r] if hits.get(r) is None else hits[r][1]
+                iters[idx[r]] = it + 1
+            if not keep:
+                idx = []
                 break
-            alpha *= controls.backtrack_factor
-        else:  # no trial point passed the Armijo test
-            break
+            idx, nu, lams, restoring = ([v[r] for r in keep] for v in (idx, nu, lams, restoring))
+            z, J, H = z[keep], J[keep], H[keep]
+        alpha = [hits[r][0] for r in keep]
+        zn = np.array([hits[r][1] for r in keep])
         fn, cn, Jn = ws.evaluate(zn)
         # Damped BFGS on the Lagrangian gradient, applied to H = B^-1.
         # B s comes from the QP's stationarity, B p = -(g + A^T lams);
         # a restoration step was taken with H = B = I.
-        weights = np.array((1.0, *lams))
-        gl_old = weights @ J
-        s_vec = zn - z
-        y_vec = weights @ Jn - gl_old
-        Bs = s_vec if restoring else -alpha * gl_old
-        sBs = float(s_vec @ Bs)
-        sy = float(s_vec @ y_vec)
-        if sy < 0.2 * sBs:
-            theta = 0.8 * sBs / max(sBs - sy, 1e-300)
-            y_vec = theta * y_vec + (1.0 - theta) * Bs
-            sy = float(s_vec @ y_vec)
-        if sy > 1e-300:
+        L = np.array([[(1.0, *l)] for l in lams])
+        gl_old = L @ J
+        s_vec = (zn - z)[:, None, :]
+        y_vec = L @ Jn
+        y_vec -= gl_old
+        sg, sy = (s_vec * np.concatenate((gl_old, y_vec), axis=1)).sum(axis=2).T.tolist()
+        upd = []
+        for r, a in enumerate(alpha):
+            sBs = float(s_vec[r, 0] @ s_vec[r, 0]) if restoring[r] else -a * sg[r]
+            if sy[r] < 0.2 * sBs:
+                theta = 0.8 * sBs / max(sBs - sy[r], 1e-300)
+                Bs = s_vec[r, 0] if restoring[r] else -a * gl_old[r, 0]
+                y_vec[r, 0] = theta * y_vec[r, 0] + (1.0 - theta) * Bs
+                sy[r] = float(s_vec[r, 0] @ y_vec[r, 0])
+            if sy[r] > 1e-300:
+                upd.append(r)
+        if upd:
             # H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T
-            Hy = H @ y_vec
-            rho = 1.0 / sy
-            w = (0.5 * rho * (1.0 + rho * float(y_vec @ Hy))) * s_vec - rho * Hy
-            H += np.outer(s_vec, w)
-            H += np.outer(w, s_vec)
-        z, f, c, J = zn, fn, cn, Jn
-        if alpha * pn < 1e-14:
-            break
-    return z.reshape(n, n), iters
+            sel = upd if len(upd) < len(idx) else slice(None)
+            s_u, y_u = s_vec[sel], y_vec[sel]
+            Hy = y_u @ H[sel]  # (H y)^T, H being symmetric
+            rho = [1.0 / sy[r] for r in upd]
+            coef = [(0.5 * rh * (1.0 + rh * v), -rh)
+                    for rh, v in zip(rho, (y_u * Hy).sum(axis=2)[:, 0].tolist())]
+            w = np.array(coef)[:, None, :] @ np.concatenate((s_u, Hy), axis=1)
+            T = s_u.transpose(0, 2, 1) * w
+            H[sel] += T + T.transpose(0, 2, 1)
+        z, f, c, J = zn, fn.tolist(), cn.tolist(), Jn
+    for r, i in enumerate(idx):  # these ran out of iterations
+        Z[i] = z[r]
+        iters[i] = controls.max_inner_steps
+    return Z.reshape(-1, n, n), iters
 
 
 def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams,
@@ -348,7 +460,8 @@ def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams,
     D_init = np.asarray(D_init, dtype=float)
     X = np.asarray(X, dtype=float)
     ws = _Workspace(X, Sigma, sigma_diag, hp)
-    D, iters = _sqp(ws, D_init, controls)
+    D, iters = _sqp(ws, D_init[None], controls)
+    D, iters = D[0], iters[0]
     mu = controls.final_penalty_weight
     j_out = objective(D, X, Sigma, sigma_diag, hp, mu, mu).total
     j_in = objective(D_init, X, Sigma, sigma_diag, hp, mu, mu).total
@@ -400,6 +513,12 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     and the global best is returned. Deterministic for fixed data, hp,
     and controls.seed: restart r draws its start from
     SeedSequence(entropy=controls.seed, spawn_key=(r,)).
+
+    In each round one stacked solve moves all restarts, then each one is
+    thresholded and scored. A restart's wall_ms is its own draw and
+    scoring time plus, of each round's solve, the share of the SQP
+    iterations it ran in that round (an even share when no restart
+    iterated), so the restarts' wall_ms add up to the result's wall_ms.
     """
     ds = _as_dataset(data)
     if ds.m < 2:
@@ -418,47 +537,63 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     mu = controls.final_penalty_weight
     ws = _Workspace(X, Sigma, sd, hp_res)
 
-    t_start = time.perf_counter()
+    t_start = t = time.perf_counter()
+    R = hp_res.restarts
+    wall = [0.0] * R  # seconds charged to each restart
+    starts = []
+    for r in range(R):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=controls.seed, spawn_key=(r,)))
+        starts.append(rng.uniform(-1.0, 1.0, (n, n)))
+        now = time.perf_counter()
+        wall[r] += now - t
+        t = now
+    D = np.array(starts)
+    iters = [0] * R
+    local_j = [math.inf] * R
+    local_d: list[np.ndarray | None] = [None] * R
+    local_res = [(math.nan, math.nan)] * R
+    for _ in range(hp_res.iterations):
+        D, its = _sqp(ws, D, controls)
+        now = time.perf_counter()
+        total = sum(its)
+        for r in range(R):
+            wall[r] += (now - t) * (its[r] / total if total else 1.0 / R)
+        t = now
+        for r in range(R):
+            iters[r] += its[r]
+            D[r] = row_threshold(D[r], tau_eff)
+            bd = objective(D[r], X, Sigma, sd, hp_res, mu, mu)
+            if np.isfinite(bd.total) and bd.total < local_j[r]:
+                local_j[r] = bd.total
+                local_d[r] = D[r].copy()
+                local_res[r] = (bd.recon_residual, bd.cov_residual)
+            now = time.perf_counter()
+            wall[r] += now - t
+            t = now
+    total_wall = (t - t_start) * 1000.0
+
     best_j = math.inf
     best_d: np.ndarray | None = None
     records: list[RestartRecord] = []
-    for r in range(hp_res.restarts):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=controls.seed, spawn_key=(r,)))
-        D = rng.uniform(-1.0, 1.0, (n, n))
-        iters = 0
-        local_j = math.inf
-        local_d: np.ndarray | None = None
-        local_res = (math.nan, math.nan)
-        for _ in range(hp_res.iterations):
-            D, it = _sqp(ws, D, controls)
-            iters += it
-            D = row_threshold(D, tau_eff)
-            bd = objective(D, X, Sigma, sd, hp_res, mu, mu)
-            if np.isfinite(bd.total) and bd.total < local_j:
-                local_j = bd.total
-                local_d = D.copy()
-                local_res = (bd.recon_residual, bd.cov_residual)
-        wall = (time.perf_counter() - t0) * 1000.0
-        if local_d is None:
+    for r in range(R):
+        if local_d[r] is None:
             records.append(RestartRecord(
                 index=r, seed=controls.seed, objective=math.nan,
                 running_min=best_j, recon_residual=math.nan,
-                cov_residual=math.nan, iterations=iters, wall_ms=wall,
+                cov_residual=math.nan, iterations=iters[r], wall_ms=wall[r] * 1000.0,
                 aborted=True, message="no finite candidate produced",
             ))
             continue
-        if local_j < best_j:
-            best_j = local_j
-            best_d = local_d
+        if local_j[r] < best_j:
+            best_j = local_j[r]
+            best_d = local_d[r]
         records.append(RestartRecord(
-            index=r, seed=controls.seed, objective=local_j,
-            running_min=best_j, recon_residual=local_res[0],
-            cov_residual=local_res[1], iterations=iters, wall_ms=wall,
+            index=r, seed=controls.seed, objective=local_j[r],
+            running_min=best_j, recon_residual=local_res[r][0],
+            cov_residual=local_res[r][1], iterations=iters[r], wall_ms=wall[r] * 1000.0,
         ))
     if best_d is None:
         raise SolverAbort("every restart aborted without a finite candidate", records)
-    total_wall = (time.perf_counter() - t_start) * 1000.0
     return DiscoveryResult(
         D_opt=best_d, J_min=best_j, restarts=records,
         hp=hp_res, controls=controls, wall_ms=total_wall,

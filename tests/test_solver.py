@@ -27,7 +27,8 @@ from slcd import (
     smoothed_trace,
     solve_relaxed,
 )
-from slcd.solver import _qp_solve, _Workspace, objective_of
+from slcd import solver
+from slcd.solver import _ladder, _line_search, _qp_solve, _sqp, _Workspace, objective_of
 from conftest import PAIR_SUM_ALIAS
 
 
@@ -309,27 +310,28 @@ def test_slcd_identical_on_saved_and_loaded_data(tmp_path) -> None:
 # ---------------------------------------------------------------- kernels
 
 
-@given(seed=st.integers(0, 2**32 - 1), nv=st.integers(2, 12),
+@given(seed=st.integers(0, 2**32 - 1), nv=st.integers(2, 12), k=st.integers(1, 6),
        c_scale=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_qp_solve_step_satisfies_kkt(seed: int, nv: int, c_scale: float) -> None:
+def test_qp_solve_step_satisfies_kkt(seed: int, nv: int, k: int, c_scale: float) -> None:
     rng = np.random.default_rng(seed)
-    M = rng.standard_normal((nv, nv))
-    H = M @ M.T + 0.5 * np.eye(nv)
-    g = rng.standard_normal(nv)
-    A = rng.standard_normal((2, nv))
-    c = c_scale * rng.standard_normal(2)
-    p, lams = _qp_solve(H, np.vstack((g, A)), c)
-    assert p is not None
-    lams = np.asarray(lams)
-    B = np.linalg.inv(H)
-    slack = A @ p + c
-    scale = 1.0 + np.abs(c) + np.linalg.norm(A, axis=1) * np.linalg.norm(p)
-    assert np.all(slack <= 1e-8 * scale)
-    assert np.all(lams >= -1e-12)
-    assert np.all(np.abs(lams * slack) <= 1e-8 * scale * (1.0 + lams))
-    stationarity = B @ p + g + A.T @ lams
-    assert np.linalg.norm(stationarity) <= 1e-8 * (
-        1.0 + np.linalg.norm(B @ p) + np.linalg.norm(g) + np.linalg.norm(A.T @ lams))
+    M = rng.standard_normal((k, nv, nv))
+    H = M @ M.transpose(0, 2, 1) + 0.5 * np.eye(nv)
+    J = rng.standard_normal((k, 3, nv))
+    c = c_scale * rng.standard_normal((k, 2))
+    P, lams = _qp_solve(H, J, c.tolist())
+    assert P.shape == (k, nv) and len(lams) == k
+    for i in range(k):
+        assert lams[i] is not None
+        p, lam, g, A = P[i], np.asarray(lams[i]), J[i, 0], J[i, 1:]
+        B = np.linalg.inv(H[i])
+        slack = A @ p + c[i]
+        scale = 1.0 + np.abs(c[i]) + np.linalg.norm(A, axis=1) * np.linalg.norm(p)
+        assert np.all(slack <= 1e-8 * scale)
+        assert np.all(lam >= -1e-12)
+        assert np.all(np.abs(lam * slack) <= 1e-8 * scale * (1.0 + lam))
+        stationarity = B @ p + g + A.T @ lam
+        assert np.linalg.norm(stationarity) <= 1e-8 * (
+            1.0 + np.linalg.norm(B @ p) + np.linalg.norm(g) + np.linalg.norm(A.T @ lam))
 
 
 def _workspace(ds_id: int = 3, m: int = 200):
@@ -337,36 +339,138 @@ def _workspace(ds_id: int = 3, m: int = 200):
     return _Workspace(ds.X, Sigma, sd, hp), ds, Sigma, sd, hp
 
 
+def _assert_rows_standalone(ws, Z, jac: bool) -> None:
+    """Each row of a stacked evaluation equals the evaluation of that row alone."""
+    f, c, J = ws.evaluate(Z, jac=jac)
+    for i in range(len(Z)):
+        fi, ci, Ji = ws.evaluate(Z[i:i + 1], jac=jac)
+        assert fi[0] == f[i] and np.array_equal(ci[0], c[i])
+        if jac:
+            assert np.array_equal(Ji[0], J[i])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_workspace_evaluate_matches_objective(seed: int) -> None:
     ws, ds, Sigma, sd, hp = _workspace()
-    D = np.random.default_rng(seed).uniform(-1, 1, (ws.n, ws.n))
-    f, c, J = ws.evaluate(D.ravel())
-    recon, cov = residuals(D, ds.X, Sigma, sd)
-    assert f == pytest.approx(
-        smoothed_rank(D, hp.sigma) + hp.lam * smoothed_trace(D, hp.sigma), rel=1e-12)
-    assert c[0] + hp.eps1 == pytest.approx(recon, rel=1e-10)
-    assert c[1] + hp.eps2 == pytest.approx(cov, rel=1e-10)
-    assert J.shape == (3, ws.n * ws.n)
-    f_only, c_only, none = ws.evaluate(D.ravel(), jac=False)
+    Ds = np.random.default_rng(seed).uniform(-1, 1, (4, ws.n, ws.n))
+    Z = Ds.reshape(4, -1)
+    f, c, J = ws.evaluate(Z)
+    assert f.shape == (4,) and c.shape == (4, 2) and J.shape == (4, 3, ws.n * ws.n)
+    f_only, c_only, none = ws.evaluate(Z, jac=False)
     assert none is None
-    assert f_only == pytest.approx(f, rel=1e-12)
-    assert c_only == pytest.approx(c, rel=1e-12)
+    for i, D in enumerate(Ds):
+        recon, cov = residuals(D, ds.X, Sigma, sd)
+        assert f[i] == pytest.approx(
+            smoothed_rank(D, hp.sigma) + hp.lam * smoothed_trace(D, hp.sigma), rel=1e-12)
+        assert c[i, 0] + hp.eps1 == pytest.approx(recon, rel=1e-10)
+        assert c[i, 1] + hp.eps2 == pytest.approx(cov, rel=1e-10)
+        assert f_only[i] == pytest.approx(f[i], rel=1e-12)
+        np.testing.assert_allclose(c_only[i], c[i], rtol=1e-12)
+    _assert_rows_standalone(ws, Z, jac=True)
+    _assert_rows_standalone(ws, Z, jac=False)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_workspace_jacobian_matches_finite_differences(seed: int) -> None:
     ws, *_ = _workspace()
-    z = np.random.default_rng(seed).uniform(-1, 1, ws.n * ws.n)
-    _, _, J = ws.evaluate(z)
+    Z = np.random.default_rng(seed).uniform(-1, 1, (3, ws.n * ws.n))
+    _, _, J = ws.evaluate(Z)
     h = 1e-6
-    fd = np.empty_like(J)
-    for i in range(z.size):
-        e = np.zeros_like(z)
-        e[i] = h
-        fp, cp, _ = ws.evaluate(z + e, jac=False)
-        fm, cm, _ = ws.evaluate(z - e, jac=False)
-        fd[:, i] = (np.array([fp, *cp]) - np.array([fm, *cm])) / (2 * h)
-    for row in range(3):
-        denom = max(1.0, float(np.max(np.abs(fd[row]))))
-        assert float(np.max(np.abs(J[row] - fd[row]))) / denom < 1e-5
+    nv = Z.shape[1]
+    # row i * nv + j of the probes perturbs coordinate j of member i
+    E = np.repeat(Z, nv, axis=0).reshape(3, nv, nv)
+    fp, cp, _ = ws.evaluate((E + h * np.eye(nv)).reshape(-1, nv), jac=False)
+    fm, cm, _ = ws.evaluate((E - h * np.eye(nv)).reshape(-1, nv), jac=False)
+    fd = ((np.column_stack((fp, cp)) - np.column_stack((fm, cm))) / (2 * h)).reshape(3, nv, 3)
+    for i in range(3):
+        for row in range(3):
+            denom = max(1.0, float(np.max(np.abs(fd[i, :, row]))))
+            assert float(np.max(np.abs(J[i, row] - fd[i, :, row]))) / denom < 1e-5
+    _assert_rows_standalone(ws, Z, jac=True)
+
+
+class _ThresholdWorkspace:
+    """A stand-in for _Workspace: the trial point (alpha, threshold) has
+    f = 0 when alpha <= threshold, else 1, and never violates a
+    constraint. Counts its evaluation calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, Z, jac=True):
+        self.calls += 1
+        return np.where(Z[:, 0] <= Z[:, 1], 0.0, 1.0), np.full((len(Z), 2), -1.0), None
+
+
+def test_line_search_ladder_matches_sequential_halving() -> None:
+    # members first pass at trial 1 (alpha = 1), 3 (1/4) and 9 (1/256); the last never does
+    thresholds = [1.0, 0.3, 0.005, -1.0]
+    k = len(thresholds)
+    z = np.column_stack((np.zeros(k), thresholds))
+    P = np.tile([1.0, 0.0], (k, 1))
+    steps = _ladder(1.0, 0.5)
+    phi0, dphi = 1e-3, -1.0
+
+    def sequential(thr: float):
+        alpha = 1.0
+        while alpha > 1e-16:
+            if (0.0 if alpha <= thr else 1.0) <= phi0 + 1e-4 * alpha * dphi:
+                return alpha
+            alpha *= 0.5
+        return None
+
+    ws = _ThresholdWorkspace()
+    found = _line_search(ws, z, P, list(range(k)), [steps] * k, [1.0] * k,
+                         [phi0] * k, [dphi] * k, 1e-4)
+    alphas = [None if hit is None else hit[0] for hit in found]
+    assert alphas == [sequential(t) for t in thresholds] == [1.0, 0.25, 2.0**-8, None]
+    np.testing.assert_array_equal(found[2][1], [2.0**-8, 0.005])
+    # 54 trial steps in rounds of 1, 2, 4, ..., 32 instead of 54 calls
+    assert len(steps) == 54 and ws.calls == 6
+
+
+def test_sqp_stack_members_independent() -> None:
+    _, ds, Sigma, sd, hp = _problem(2)
+    ws = _Workspace(ds.X, Sigma, sd, hp)
+    starts = np.random.default_rng(3).uniform(-1, 1, (6, 4, 4))
+    ctl = SolverControls(max_inner_steps=150)
+    D, its = _sqp(ws, starts, ctl)
+    assert D.shape == starts.shape and len(its) == 6 and min(its) > 0
+    for i in range(6):
+        Di, iti = _sqp(ws, starts[i:i + 1], ctl)
+        assert iti == [its[i]]
+        assert Di[0].tobytes() == D[i].tobytes()
+    perm = [4, 1, 5, 0, 3, 2]
+    Dp, itp = _sqp(ws, starts[perm], ctl)
+    assert itp == [its[i] for i in perm]
+    assert Dp.tobytes() == D[perm].tobytes()
+
+
+def test_slcd_restart_records_independent_of_stack_size(ds2_data, monkeypatch) -> None:
+    calls = []
+
+    def recording_threshold(D, tau):
+        out = row_threshold(D, tau)
+        calls.append(out.tobytes())
+        return out
+
+    monkeypatch.setattr(solver, "row_threshold", recording_threshold)
+    small = slcd(ds2_data, Hyperparams(restarts=3))
+    small_calls, calls[:] = list(calls), []
+    large = slcd(ds2_data, Hyperparams(restarts=6))
+    # one call per restart per round, restarts in index order within a round
+    rounds = Hyperparams().iterations
+    assert len(small_calls) == 3 * rounds and len(calls) == 6 * rounds
+    for r in range(rounds):
+        assert small_calls[3 * r:3 * r + 3] == calls[6 * r:6 * r + 3]
+    for a, b in zip(small.restarts, large.restarts[:3]):
+        assert (a.objective, a.iterations, a.recon_residual) == (
+            b.objective, b.iterations, b.recon_residual)
+
+
+def test_restart_wall_ms_partitions_total(ds2_data, fast_hp) -> None:
+    result = slcd(ds2_data, fast_hp)
+    walls = [r.wall_ms for r in result.restarts]
+    assert all(w > 0 for w in walls)
+    assert sum(walls) <= result.wall_ms * (1 + 1e-6)
+    assert sum(walls) == pytest.approx(result.wall_ms, rel=1e-6)
