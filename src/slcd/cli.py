@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 import time
 from dataclasses import replace
@@ -107,6 +109,20 @@ def _resolve(flag_value, config: dict, key: str, default):
     return default
 
 
+def _number(value, key: str, kind: type = int, low: float = 0):
+    """A flag or config value as an int of at least low or, with
+    kind=float, as a finite float above low; anything else, such as a
+    string, a bool, a list or None, is a usage error."""
+    if kind is int:
+        ok = isinstance(value, numbers.Integral) and value >= low
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > low
+    if isinstance(value, bool) or not ok:
+        what = f"an integer of at least {low}" if kind is int else f"a finite number above {low}"
+        raise _CliError(EXIT_USAGE, f"--{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _build_hp(args, config: dict) -> Hyperparams:
     hp_json = Hyperparams().to_json()
     for key in ("sigma", "lambda", "tau", "eps1", "eps2", "iterations", "restarts"):
@@ -144,7 +160,7 @@ def _resolve_spec(args, config: dict) -> ScmSpec:
         raise _CliError(EXIT_USAGE, "give either --dataset or --spec, not both")
     if dataset is not None:
         try:
-            return builtin_spec(int(dataset))
+            return builtin_spec(_number(dataset, "dataset"))
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, str(exc)) from exc
     if spec_path is not None:
@@ -181,10 +197,8 @@ def _read_json(path) -> dict:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     spec = _resolve_spec(args, config)
-    m = int(_resolve(args.m, config, "m", 1000))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    if m < 1:
-        raise _CliError(EXIT_USAGE, f"--m must be at least 1, got {m}")
+    m = _number(_resolve(args.m, config, "m", 1000), "m", low=1)
+    seed = _number(_resolve(args.seed, config, "seed", 0), "seed")
     ds = sample(spec, m, seed)
     out = args.out if args.out is not None else f"{spec.name}.csv"
     try:
@@ -207,7 +221,7 @@ def cmd_discover(args) -> int:
     config = _load_config(args.config)
     hp = _build_hp(args, config)
     controls = _build_controls(args, config)
-    theta = float(_resolve(args.theta, config, "theta", DEFAULT_THETA))
+    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
     try:
         ds = load_dataset(args.data)
     except OSError as exc:
@@ -251,7 +265,7 @@ def _load_estimate(path) -> np.ndarray:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    theta = float(_resolve(args.theta, config, "theta", DEFAULT_THETA))
+    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
     spec = _resolve_spec(args, config)
     D_hat = _load_estimate(args.result)
     try:
@@ -309,25 +323,22 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     hp = _build_hp(args, config)
     controls = _build_controls(args, config)
-    theta = float(_resolve(args.theta, config, "theta", DEFAULT_THETA))
-    m = int(_resolve(args.m, config, "m", 1000))
-    jobs = int(_resolve(args.jobs, config, "jobs", 1))
+    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
+    m = _number(_resolve(args.m, config, "m", 1000), "m", low=2)
+    jobs = _number(_resolve(args.jobs, config, "jobs", 1), "jobs", low=1)
     dataset = _resolve(args.dataset, config, "dataset", None)
     if dataset is None:
         raise _CliError(EXIT_USAGE, "sweep requires --dataset ID")
+    dataset = _number(dataset, "dataset")
     sigma_grid = _parse_grid(args.sigma_grid, config, "sigma_grid", DEFAULT_SIGMA_GRID)
     lambda_grid = _parse_grid(args.lambda_grid, config, "lambda_grid", DEFAULT_LAMBDA_GRID)
-    if m < 2:
-        raise _CliError(EXIT_USAGE, f"--m must be at least 2, got {m}")
-    if jobs < 1:
-        raise _CliError(EXIT_USAGE, f"--jobs must be at least 1, got {jobs}")
     try:
-        result = sweep(int(dataset), sigma_grid, lambda_grid, hp=hp,
+        result = sweep(dataset, sigma_grid, lambda_grid, hp=hp,
                        controls=controls, m=m, data_seed=controls.seed,
                        theta=theta, jobs=jobs)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    out = args.out if args.out is not None else f"sweep_dataset{int(dataset)}.csv"
+    out = args.out if args.out is not None else f"sweep_dataset{dataset}.csv"
     try:
         result.to_csv(out)
     except OSError as exc:
@@ -395,68 +406,80 @@ def _repro_run_dataset(ds_id: int, m: int, seed: int, hp: Hyperparams,
     }
 
 
-def _repro_estimates(args, config: dict, out_dir: Path) -> int:
-    """Juxtapose freshly estimated matrices with the reference
-    estimates; gate datasets 2-5 on max-abs deviation from truth."""
+def _estimates_section(ds_id: int, rec: dict) -> list[str]:
+    """Markdown for one dataset of repro estimates: the true, the fresh
+    and the reference matrix, and the gate's verdict."""
+    truth = builtin_spec(ds_id).structural_matrix().entries
+    lines = [f"## Dataset {ds_id}", "", "True matrix:", "", _matrix_markdown(truth), ""]
+    if rec["error"]:
+        lines.append(f"This run: solver aborted ({rec['error']}).")
+    else:
+        est = np.array(rec["estimated_matrix"]["rows"], dtype=float)
+        lines += [f"This run (max deviation from truth {rec['max_abs_deviation']:.4g}):", "",
+                  _matrix_markdown(est)]
+    lines += ["", "Reference estimate:", "", _matrix_markdown(REFERENCE_ESTIMATES[ds_id]), ""]
+    if not rec["gated"]:
+        lines.append("Not gated: this model is not identifiable from "
+                     "observational data, and the reference run did not "
+                     "recover it either.")
+    else:
+        lines.append(f"Status: {'recovered' if rec['recovered'] else 'MISSED'} "
+                     f"(gate: deviation <= {REPRO_MAX_DEVIATION:g}).")
+    return lines + [""]
+
+
+def _comparison_section(ds_id: int, rec: dict) -> list[str]:
+    """Markdown for one dataset of repro comparison: the stored
+    precision/recall rows and this run's."""
+    lines = [f"## Dataset {ds_id}", "", "| Method | Precision | Recall | Correct links |",
+             "|---|---|---|---|"]
+    for method in COMPARISON_METHODS:
+        p, r, c = REFERENCE_COMPARISON[ds_id][method]
+        suffix = " (reference)" if method == "SLCD" else ""
+        lines.append(f"| {method}{suffix} | {p:g} | {r:g} | {c} |")
+    if rec["error"]:
+        lines.append("| SLCD (this run) | aborted | aborted | aborted |")
+    else:
+        b = rec["metrics"]
+        lines.append(f"| SLCD (this run) | {b['precision']:g} | {b['recall']:g} | "
+                     f"{b['correct_links']} |")
+    lines.append("")
+    if not rec["gated"]:
+        lines += ["Not gated: recovery is expected to fail here, "
+                  "matching the reference SLCD row.", ""]
+    return lines
+
+
+def _repro_gated(args, config: dict, out_dir: Path, which: str, title: str, notes: list[str],
+                 recovered, section, drop: tuple[str, ...] = ()) -> int:
+    """Run the built-in benchmarks and gate datasets 2-5 on
+    recovered(record). Writes repro_<which>.json, whose records leave out
+    the fields in drop, and repro_<which>.md: the title, the settings,
+    the notes, then section(id, record) for each dataset."""
     ids = _parse_dataset_list(args.datasets)
-    m = int(_resolve(args.m, config, "m", 1000))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    theta = float(_resolve(args.theta, config, "theta", DEFAULT_THETA))
+    m = _number(_resolve(args.m, config, "m", 1000), "m", low=2)
+    seed = _number(_resolve(args.seed, config, "seed", 0), "seed")
+    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
     hp = _build_hp(args, config)
     controls = _build_controls(args, config)
     records = []
-    lines = ["# Estimated structural matrices", "",
-             f"sigma={hp.sigma:g}, lambda={hp.lam:g}, tau={hp.tau}, "
-             f"m={m}, seed={seed}", ""]
+    lines = [title, "", f"sigma={hp.sigma:g}, lambda={hp.lam:g}, tau={hp.tau}, "
+             f"m={m}, seed={seed}", "", *notes]
     passed = True
     for ds_id in ids:
         rec = _repro_run_dataset(ds_id, m, seed, hp, controls, theta)
         gated = ds_id in EXPECTED_RECOVERED_IDS
-        if rec["error"]:
-            recovered = False
-        else:
-            recovered = rec["max_abs_deviation"] <= REPRO_MAX_DEVIATION
-        rec["gated"] = gated
-        rec["expected_unrecovered"] = not gated
-        rec["recovered"] = recovered
-        records.append(rec)
-        if gated and not recovered:
-            passed = False
-        truth = builtin_spec(ds_id).structural_matrix().entries
-        lines.append(f"## Dataset {ds_id}")
-        lines.append("")
-        lines.append("True matrix:")
-        lines.append("")
-        lines.append(_matrix_markdown(truth))
-        lines.append("")
-        if rec["error"]:
-            lines.append(f"This run: solver aborted ({rec['error']}).")
-        else:
-            est = np.array(rec["estimated_matrix"]["rows"], dtype=float)
-            lines.append(f"This run (max deviation from truth "
-                         f"{rec['max_abs_deviation']:.4g}):")
-            lines.append("")
-            lines.append(_matrix_markdown(est))
-        lines.append("")
-        lines.append("Reference estimate:")
-        lines.append("")
-        lines.append(_matrix_markdown(REFERENCE_ESTIMATES[ds_id]))
-        lines.append("")
-        if not gated:
-            lines.append("Not gated: this model is not identifiable from "
-                         "observational data, and the reference run did not "
-                         "recover it either.")
-        else:
-            lines.append(f"Status: {'recovered' if recovered else 'MISSED'} "
-                         f"(gate: deviation <= {REPRO_MAX_DEVIATION:g}).")
-        lines.append("")
-        status = "recovered" if recovered else ("aborted" if rec["error"] else "missed")
-        print(f"dataset {ds_id}: {status}"
-              + ("" if rec["error"] else
-                 f", max deviation {rec['max_abs_deviation']:.4g}"))
+        rec.update(gated=gated, expected_unrecovered=not gated,
+                   recovered=not rec["error"] and recovered(rec))
+        passed = passed and (rec["recovered"] or not gated)
+        lines += section(ds_id, rec)
+        records.append({k: v for k, v in rec.items() if k not in drop})
+        status = "recovered" if rec["recovered"] else ("aborted" if rec["error"] else "missed")
+        print(f"dataset {ds_id}: {status}" + ("" if rec["error"] else
+                                              f", max deviation {rec['max_abs_deviation']:.4g}"))
     report = {
         "format_version": FORMAT_VERSION,
-        "which": "estimates",
+        "which": which,
         "sigma": hp.sigma,
         "lambda": hp.lam,
         "m": m,
@@ -464,79 +487,9 @@ def _repro_estimates(args, config: dict, out_dir: Path) -> int:
         "datasets": records,
         "passed": passed,
     }
-    _write_json(out_dir / "repro_estimates.json", report)
-    (out_dir / "repro_estimates.md").write_text("\n".join(lines), encoding="utf-8")
-    print(f"wrote {out_dir / 'repro_estimates.md'} and .json; "
-          f"{'all gates passed' if passed else 'TOLERANCE MISSED'}")
-    return EXIT_OK if passed else EXIT_TOLERANCE
-
-
-def _repro_comparison(args, config: dict, out_dir: Path) -> int:
-    """Freshly computed precision/recall next to the stored comparison
-    rows; gate datasets 2-5 on precision = recall = 1."""
-    ids = _parse_dataset_list(args.datasets)
-    m = int(_resolve(args.m, config, "m", 1000))
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    theta = float(_resolve(args.theta, config, "theta", DEFAULT_THETA))
-    hp = _build_hp(args, config)
-    controls = _build_controls(args, config)
-    records = []
-    lines = ["# Link recovery comparison", "",
-             f"sigma={hp.sigma:g}, lambda={hp.lam:g}, tau={hp.tau}, "
-             f"m={m}, seed={seed}", "",
-             "Rows for the other methods are stored reference values, "
-             "not computed by this package.", ""]
-    passed = True
-    for ds_id in ids:
-        rec = _repro_run_dataset(ds_id, m, seed, hp, controls, theta)
-        gated = ds_id in EXPECTED_RECOVERED_IDS
-        if rec["error"]:
-            recovered = False
-            computed = None
-        else:
-            b = rec["metrics"]
-            computed = (b["precision"], b["recall"], b["correct_links"])
-            recovered = b["precision"] == 1.0 and b["recall"] == 1.0
-        rec["gated"] = gated
-        rec["expected_unrecovered"] = not gated
-        rec["recovered"] = recovered
-        rec.pop("estimated_matrix", None)
-        records.append(rec)
-        if gated and not recovered:
-            passed = False
-        lines.append(f"## Dataset {ds_id}")
-        lines.append("")
-        lines.append("| Method | Precision | Recall | Correct links |")
-        lines.append("|---|---|---|---|")
-        for method in COMPARISON_METHODS:
-            p, r, c = REFERENCE_COMPARISON[ds_id][method]
-            suffix = " (reference)" if method == "SLCD" else ""
-            lines.append(f"| {method}{suffix} | {p:g} | {r:g} | {c} |")
-        if computed is None:
-            lines.append("| SLCD (this run) | aborted | aborted | aborted |")
-        else:
-            lines.append(f"| SLCD (this run) | {computed[0]:g} | "
-                         f"{computed[1]:g} | {computed[2]} |")
-        lines.append("")
-        if not gated:
-            lines.append("Not gated: recovery is expected to fail here, "
-                         "matching the reference SLCD row.")
-            lines.append("")
-        status = "recovered" if recovered else ("aborted" if rec["error"] else "missed")
-        print(f"dataset {ds_id}: {status}")
-    report = {
-        "format_version": FORMAT_VERSION,
-        "which": "comparison",
-        "sigma": hp.sigma,
-        "lambda": hp.lam,
-        "m": m,
-        "seed": seed,
-        "datasets": records,
-        "passed": passed,
-    }
-    _write_json(out_dir / "repro_comparison.json", report)
-    (out_dir / "repro_comparison.md").write_text("\n".join(lines), encoding="utf-8")
-    print(f"wrote {out_dir / 'repro_comparison.md'} and .json; "
+    _write_json(out_dir / f"repro_{which}.json", report)
+    (out_dir / f"repro_{which}.md").write_text("\n".join(lines), encoding="utf-8")
+    print(f"wrote {out_dir / f'repro_{which}.md'} and .json; "
           f"{'all gates passed' if passed else 'TOLERANCE MISSED'}")
     return EXIT_OK if passed else EXIT_TOLERANCE
 
@@ -544,9 +497,9 @@ def _repro_comparison(args, config: dict, out_dir: Path) -> int:
 def _repro_sweeps(args, config: dict, out_dir: Path) -> int:
     """One hyperparameter sweep CSV per dataset."""
     ids = _parse_dataset_list(args.datasets)
-    m = int(_resolve(args.m, config, "m", 1000))
-    theta = float(_resolve(args.theta, config, "theta", DEFAULT_THETA))
-    jobs = int(_resolve(args.jobs, config, "jobs", 1))
+    m = _number(_resolve(args.m, config, "m", 1000), "m", low=2)
+    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
+    jobs = _number(_resolve(args.jobs, config, "jobs", 1), "jobs", low=1)
     hp = _build_hp(args, config)
     controls = _build_controls(args, config)
     sigma_grid = _parse_grid(args.sigma_grid, config, "sigma_grid", DEFAULT_SIGMA_GRID)
@@ -599,9 +552,16 @@ def cmd_repro(args) -> int:
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot create {out_dir}: {exc}") from exc
     if args.which == "estimates":
-        return _repro_estimates(args, config, out_dir)
+        return _repro_gated(
+            args, config, out_dir, "estimates", "# Estimated structural matrices", [],
+            lambda rec: rec["max_abs_deviation"] <= REPRO_MAX_DEVIATION, _estimates_section)
     if args.which == "comparison":
-        return _repro_comparison(args, config, out_dir)
+        return _repro_gated(
+            args, config, out_dir, "comparison", "# Link recovery comparison",
+            ["Rows for the other methods are stored reference values, "
+             "not computed by this package.", ""],
+            lambda rec: rec["metrics"]["precision"] == 1.0 and rec["metrics"]["recall"] == 1.0,
+            _comparison_section, drop=("estimated_matrix",))
     return _repro_sweeps(args, config, out_dir)
 
 

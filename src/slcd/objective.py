@@ -7,6 +7,10 @@ trace-support term applies the same surrogate to the diagonal. Both
 constraints enter through squared hinges: a residual only contributes
 once it exceeds its slack epsilon. Analytic gradients are provided and
 are checked against finite differences in the test suite.
+
+The public functions work from the data X and are the reference. The
+solver evaluates the same terms through the private _Workspace, which
+holds only the Gram matrix G = X X^T and the covariance.
 """
 from __future__ import annotations
 
@@ -263,3 +267,64 @@ def gradient(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) -
     if h2 > 0.0 and mu2 > 0.0:
         g += mu2 * (-8.0 * h2) * (R @ (D * sd))
     return g
+
+
+class _Workspace:
+    """The objective's core, built once from the data's sufficient
+    statistics: the Gram matrix G = X X^T, the covariance Sigma, its
+    diagonal sigma_diag, and the slacks, which hp must hold resolved.
+    The reconstruction residual ||X - DX||_F^2 is the trace form
+    tr((I - D) G (I - D)^T), so no evaluation touches X or costs more
+    with m. The public functions above work from X; they are the
+    reference this core is tested against."""
+
+    def __init__(self, G: np.ndarray, Sigma: np.ndarray, sigma_diag: np.ndarray,
+                 hp: Hyperparams):
+        self.n = len(G)
+        self.G = np.asarray(G, dtype=float)
+        self.Sigma = np.asarray(Sigma, dtype=float)
+        self.sd = np.asarray(sigma_diag, dtype=float)
+        self.I = np.eye(self.n)
+        self.k = -1.0 / (hp.sigma * hp.sigma)
+        self.lam = hp.lam
+        self.eps = np.array((hp.eps1, hp.eps2), dtype=float)
+        # f = f0 - sum(w * exp(k x^2)) over the singular values, then the diagonal
+        self.f0 = self.n * (1.0 + hp.lam)
+        self.w = np.repeat((1.0, hp.lam), self.n)
+
+    def evaluate(self, Z: np.ndarray, jac: bool = True):
+        """The smooth part f (rank + lam * trace surrogates) and the
+        constraint values c (residual minus slack) of each row of Z, a
+        (k, n^2) stack of flattened matrices, as a (k,) and a (k, 2)
+        array; with jac also the (k, 3, n^2) Jacobians whose rows are the
+        gradients of f, c[:, 0] and c[:, 1] (else None). Every row is
+        computed on its own, so its values do not depend on the rest of
+        the stack."""
+        n, k = self.n, self.k
+        D = Z.reshape(-1, n, n)
+        if jac:
+            U, s, Vt = np.linalg.svd(D)
+        else:
+            s = np.linalg.svd(D, compute_uv=False)
+        d = Z[:, ::n + 1]
+        # exp(k x^2) of the singular values, then of the diagonal entries
+        e = np.concatenate((s, d), axis=1)
+        np.exp(k * (e * e), out=e)
+        f = self.f0 - np.add.reduce(e * self.w, axis=1)
+        E = self.I - D
+        EG = E @ self.G
+        Dsd = D * self.sd
+        R = self.Sigma - Dsd @ D.transpose(0, 2, 1)
+        sq = np.empty((len(D), 2, n, n))
+        np.multiply(EG, E, out=sq[:, 0])
+        np.multiply(R, R, out=sq[:, 1])
+        c = np.add.reduce(sq.reshape(len(D), 2, -1), axis=2) - self.eps
+        if not jac:
+            return f, c, None
+        J = np.empty((len(D), 3, n * n))
+        Jm = J.reshape(len(D), 3, n, n)
+        np.matmul(U * ((-2.0 * k) * s * e[:, :n])[:, None, :], Vt, out=Jm[:, 0])
+        J[:, 0, ::n + 1] -= (2.0 * k * self.lam) * d * e[:, n:]
+        np.multiply(EG, -2.0, out=Jm[:, 1])
+        np.matmul(R * -4.0, Dsd, out=Jm[:, 2])
+        return f, c, J

@@ -1,12 +1,15 @@
 """Multi-restart recovery of the structural matrix.
 
-Each restart starts from a random dense matrix and alternates two moves:
+The data are centred and reduced once to their Gram matrix G = X X^T
+and covariance Sigma = G / m; nothing after that touches X. Each
+restart starts from a random dense matrix and alternates two moves:
 solve the relaxed problem (minimize the rank/trace surrogate subject to
 the reconstruction and covariance residuals staying within their
 slacks), then keep only the tau largest-magnitude entries per row. The
 sparse candidate after each threshold step is scored with the penalized
-objective at a fixed reference weight, and the best-scoring candidate
-across all restarts wins.
+objective at the fixed REFERENCE_WEIGHT, evaluated on the same
+Gram-matrix core (objective._Workspace) as the solve, and the
+best-scoring candidate across all restarts wins.
 
 The relaxed solve is a dense SQP on H, a damped-BFGS approximation of
 the inverse Hessian of the Lagrangian. Each iterate minimizes the
@@ -14,7 +17,8 @@ quadratic model subject to the two linearized constraints; the four
 candidate active sets of two inequalities are each solved in closed
 form from the products of H with the gradients. An l1 merit function
 with Armijo backtracking accepts the step, evaluating trial points
-without gradients.
+without gradients; its weight starts at 1 and rises to exceed twice
+the largest multiplier.
 
 All restarts are solved together: one SQP call advances a (k, n, n)
 stack of iterates in lockstep, with one stacked SVD per evaluation and
@@ -35,13 +39,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .datagen import Dataset, center
-from .objective import (Hyperparams, _require_finite, _require_integer, objective,
-                        resolve_epsilons)
+from .objective import (Hyperparams, _require_finite, _require_integer, _Workspace,
+                        objective, resolve_epsilons)
 from .scm_core import StructuralMatrix
 
 __all__ = [
@@ -51,11 +55,15 @@ __all__ = [
     "SolverAbort",
     "solve_relaxed",
     "row_threshold",
-    "objective_of",
     "slcd",
+    "REFERENCE_WEIGHT",
 ]
 
 FORMAT_VERSION = 1
+
+# The penalty weight on both squared hinges at which candidates are
+# compared and J_min is reported.
+REFERENCE_WEIGHT = 1000.0
 
 
 @dataclass(frozen=True)
@@ -66,28 +74,21 @@ class SolverControls:
     and armijo_c drive the merit line search; step_init is the initial
     trial step of the constraint-restoration fallback used when the
     quadratic subproblem has no usable solution. grad_tol is the
-    stationarity tolerance. The penalty fields set the reference weight
-    at which candidates are compared: mu_init * growth^(rounds - 1),
-    1000 with the defaults; mu_init also seeds the merit weight. seed
-    feeds the restart initializations.
+    stationarity tolerance. seed feeds the restart initializations.
+    Candidates are compared at the fixed REFERENCE_WEIGHT.
     """
 
     max_inner_steps: int = 500
     step_init: float = 1e-2
     backtrack_factor: float = 0.5
     armijo_c: float = 1e-4
-    penalty_mu_init: float = 1.0
-    penalty_growth: float = 10.0
-    penalty_outer_rounds: int = 4
     grad_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         _require_finite(step_init=self.step_init, backtrack_factor=self.backtrack_factor,
-                        armijo_c=self.armijo_c, penalty_mu_init=self.penalty_mu_init,
-                        penalty_growth=self.penalty_growth, grad_tol=self.grad_tol)
-        _require_integer(max_inner_steps=self.max_inner_steps,
-                         penalty_outer_rounds=self.penalty_outer_rounds, seed=self.seed)
+                        armijo_c=self.armijo_c, grad_tol=self.grad_tol)
+        _require_integer(max_inner_steps=self.max_inner_steps, seed=self.seed)
         if self.max_inner_steps < 1:
             raise ValueError("max_inner_steps must be positive")
         if not 0 < self.backtrack_factor < 1:
@@ -96,20 +97,10 @@ class SolverControls:
             raise ValueError("armijo_c must be in (0, 1)")
         if not self.step_init > 0:
             raise ValueError("step_init must be positive")
-        if self.penalty_mu_init < 0:
-            raise ValueError("penalty_mu_init must be non-negative")
-        if not self.penalty_growth > 1:
-            raise ValueError("penalty_growth must exceed 1")
-        if self.penalty_outer_rounds < 1:
-            raise ValueError("penalty_outer_rounds must be positive")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    @property
-    def final_penalty_weight(self) -> float:
-        return self.penalty_mu_init * self.penalty_growth ** (self.penalty_outer_rounds - 1)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -185,63 +176,6 @@ class SolverAbort(RuntimeError):
     def __init__(self, message: str, records: list[RestartRecord]):
         super().__init__(message)
         self.records = records
-
-
-class _Workspace:
-    """Precomputed pieces shared by every solve on one dataset: the Gram
-    matrix G = X X^T (so the reconstruction residual is a trace form
-    independent of m in cost), the covariance, and the resolved slacks."""
-
-    def __init__(self, X: np.ndarray, Sigma: np.ndarray, sigma_diag: np.ndarray,
-                 hp: Hyperparams):
-        self.n = X.shape[0]
-        self.G = X @ X.T
-        self.Sigma = np.asarray(Sigma, dtype=float)
-        self.sd = np.asarray(sigma_diag, dtype=float)
-        self.I = np.eye(self.n)
-        self.k = -1.0 / (hp.sigma * hp.sigma)
-        self.lam = hp.lam
-        self.eps = np.array(resolve_epsilons(hp, X, self.Sigma))
-        # f = f0 - sum(w * exp(k x^2)) over the singular values, then the diagonal
-        self.f0 = self.n * (1.0 + hp.lam)
-        self.w = np.repeat((1.0, hp.lam), self.n)
-
-    def evaluate(self, Z: np.ndarray, jac: bool = True):
-        """The smooth part f (rank + lam * trace surrogates) and the
-        constraint values c (residual minus slack) of each row of Z, a
-        (k, n^2) stack of flattened matrices, as a (k,) and a (k, 2)
-        array; with jac also the (k, 3, n^2) Jacobians whose rows are the
-        gradients of f, c[:, 0] and c[:, 1] (else None). Every row is
-        computed on its own, so its values do not depend on the rest of
-        the stack."""
-        n, k = self.n, self.k
-        D = Z.reshape(-1, n, n)
-        if jac:
-            U, s, Vt = np.linalg.svd(D)
-        else:
-            s = np.linalg.svd(D, compute_uv=False)
-        d = Z[:, ::n + 1]
-        # exp(k x^2) of the singular values, then of the diagonal entries
-        e = np.concatenate((s, d), axis=1)
-        np.exp(k * (e * e), out=e)
-        f = self.f0 - np.add.reduce(e * self.w, axis=1)
-        E = self.I - D
-        EG = E @ self.G
-        Dsd = D * self.sd
-        R = self.Sigma - Dsd @ D.transpose(0, 2, 1)
-        sq = np.empty((len(D), 2, n, n))
-        np.multiply(EG, E, out=sq[:, 0])
-        np.multiply(R, R, out=sq[:, 1])
-        c = np.add.reduce(sq.reshape(len(D), 2, -1), axis=2) - self.eps
-        if not jac:
-            return f, c, None
-        J = np.empty((len(D), 3, n * n))
-        Jm = J.reshape(len(D), 3, n, n)
-        np.matmul(U * ((-2.0 * k) * s * e[:, :n])[:, None, :], Vt, out=Jm[:, 0])
-        J[:, 0, ::n + 1] -= (2.0 * k * self.lam) * d * e[:, n:]
-        np.multiply(EG, -2.0, out=Jm[:, 1])
-        np.matmul(R * -4.0, Dsd, out=Jm[:, 2])
-        return f, c, J
 
 
 def _active_set(M, c):
@@ -353,7 +287,7 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
     z, J = Z[idx], J[idx]
     f, c = [F[i] for i in idx], [C[i] for i in idx]
     H = np.tile(np.eye(nv), (len(idx), 1, 1))
-    nu = [controls.penalty_mu_init] * len(idx)
+    nu = [1.0] * len(idx)
     full_steps = _ladder(1.0, controls.backtrack_factor)
     restore_steps = _ladder(controls.step_init, controls.backtrack_factor)
     for it in range(controls.max_inner_steps):
@@ -459,10 +393,10 @@ def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams,
     """
     D_init = np.asarray(D_init, dtype=float)
     X = np.asarray(X, dtype=float)
-    ws = _Workspace(X, Sigma, sigma_diag, hp)
+    ws = _Workspace(X @ X.T, Sigma, sigma_diag, hp.with_resolved_epsilons(X, Sigma))
     D, iters = _sqp(ws, D_init[None], controls)
     D, iters = D[0], iters[0]
-    mu = controls.final_penalty_weight
+    mu = REFERENCE_WEIGHT
     j_out = objective(D, X, Sigma, sigma_diag, hp, mu, mu).total
     j_in = objective(D_init, X, Sigma, sigma_diag, hp, mu, mu).total
     if not np.isfinite(j_out) or j_out > j_in:
@@ -485,16 +419,13 @@ def row_threshold(D, tau: int) -> np.ndarray:
     return out
 
 
-def objective_of(D, X, hp: Hyperparams, mu: float | None = None) -> float:
-    """Penalized objective at the reference penalty weight, used to
-    compare candidates. X is expected to be centered; the covariance is
-    taken as X X^T / m."""
-    X = np.asarray(X, dtype=float)
-    Sigma = (X @ X.T) / X.shape[1]
-    sd = np.diag(Sigma).copy()
-    if mu is None:
-        mu = SolverControls().final_penalty_weight
-    return objective(D, X, Sigma, sd, hp, mu, mu).total
+def _data_abort(restarts: int, seed: int, why: str) -> SolverAbort:
+    """The abort of a run whose data leave nothing to solve: every
+    restart recorded as aborted before its first step."""
+    records = [RestartRecord(index=r, seed=seed, objective=math.nan, running_min=math.inf,
+                             recon_residual=math.nan, cov_residual=math.nan, iterations=0,
+                             wall_ms=0.0, aborted=True, message=why) for r in range(restarts)]
+    return SolverAbort(f"every restart aborted: {why}", records)
 
 
 def _as_dataset(data) -> Dataset:
@@ -523,19 +454,22 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     ds = _as_dataset(data)
     if ds.m < 2:
         raise ValueError("discovery needs at least 2 samples")
-    if not ds.centered:
-        ds = center(ds)
-    X = ds.X
+    # An inf cell would turn to NaN in centring; checked first, so that
+    # no arithmetic runs on non-finite data.
+    if not np.isfinite(ds.X).all():
+        raise _data_abort(hp.restarts, controls.seed, "the data hold a NaN or infinite value")
+    X = (ds if ds.centered else center(ds)).X
     n, m = X.shape
-    Sigma = (X @ X.T) / m
+    G = X @ X.T
+    Sigma = G / m
     sd = np.diag(Sigma).copy()
-    try:
-        hp_res = hp.with_resolved_epsilons(X, Sigma)
-    except ValueError:  # non-finite data: every restart aborts below
-        hp_res = hp
+    eps = resolve_epsilons(hp, X, Sigma)
+    if not np.isfinite(eps).all():
+        raise _data_abort(hp.restarts, controls.seed, "the data's second moments overflow")
+    del X  # from here on the data enter only through G and Sigma
+    hp_res = replace(hp, eps1=eps[0], eps2=eps[1])
     tau_eff = min(hp_res.tau, n)
-    mu = controls.final_penalty_weight
-    ws = _Workspace(X, Sigma, sd, hp_res)
+    ws = _Workspace(G, Sigma, sd, hp_res)
 
     t_start = t = time.perf_counter()
     R = hp_res.restarts
@@ -562,11 +496,15 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
         for r in range(R):
             iters[r] += its[r]
             D[r] = row_threshold(D[r], tau_eff)
-            bd = objective(D[r], X, Sigma, sd, hp_res, mu, mu)
-            if np.isfinite(bd.total) and bd.total < local_j[r]:
-                local_j[r] = bd.total
+            f, c, _ = ws.evaluate(D[r].reshape(1, -1), jac=False)
+            # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
+            # residual in the score, where Python's max(0.0, nan) is 0.0
+            h = np.maximum(c[0], 0.0)
+            j = float(f[0] + REFERENCE_WEIGHT * h[0] * h[0] + REFERENCE_WEIGHT * h[1] * h[1])
+            if math.isfinite(j) and j < local_j[r]:
+                local_j[r] = j
                 local_d[r] = D[r].copy()
-                local_res[r] = (bd.recon_residual, bd.cov_residual)
+                local_res[r] = tuple((c[0] + ws.eps).tolist())
             now = time.perf_counter()
             wall[r] += now - t
             t = now

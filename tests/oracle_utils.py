@@ -12,8 +12,8 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import minimize
 
-from slcd import Hyperparams
-from slcd.solver import objective_of
+from slcd import Hyperparams, objective
+from slcd.solver import REFERENCE_WEIGHT
 
 
 def brute_force_best(X_raw: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -64,3 +64,13 @@ def brute_force_best(X_raw: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndar
 def center_data(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     return X - X.mean(axis=1, keepdims=True)
+
+
+def objective_of(D, X, hp: Hyperparams, mu: float = REFERENCE_WEIGHT) -> float:
+    """Penalized objective at the reference penalty weight, used to
+    compare candidates. X is expected to be centered; the covariance is
+    taken as X X^T / m."""
+    X = np.asarray(X, dtype=float)
+    Sigma = (X @ X.T) / X.shape[1]
+    sd = np.diag(Sigma).copy()
+    return objective(D, X, Sigma, sd, hp, mu, mu).total

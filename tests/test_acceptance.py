@@ -35,7 +35,7 @@ from slcd import (
 )
 from slcd.cli import main
 from slcd.evaluation import DEFAULT_THETA
-from oracle_utils import brute_force_best
+from oracle_utils import brute_force_best, objective_of
 
 GATED_IDS = (2, 3, 4, 5)
 EXPECTED_CORRECT_LINKS = {2: 3, 3: 5, 4: 6, 5: 8}
@@ -222,8 +222,6 @@ def test_criterion_09_small_instance_oracle() -> None:
     two variables end up linked. At coefficient 2 the exact objective
     prefers the reversed orientation, so orientation is pinned only
     where the objective pins it (coefficient 0.5)."""
-    from slcd.solver import objective_of
-
     hp = Hyperparams()
     rng = np.random.default_rng(0)
     for c in (0.5, 1.0, 2.0):

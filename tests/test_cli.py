@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slcd import StructuralMatrix, builtin_spec, load_dataset, sample
 from slcd.cli import main
@@ -223,6 +226,68 @@ def test_config_must_be_object(ds2_csv, tmp_path) -> None:
 def test_config_missing_file_is_io_error(ds2_csv, tmp_path) -> None:
     assert run("discover", "--data", ds2_csv,
                "--config", str(tmp_path / "absent.json")) == 3
+
+
+def test_config_removed_penalty_controls_rejected(ds2_csv, tmp_path, capsys) -> None:
+    # the reference penalty weight is a constant now; its three knobs are gone
+    config = tmp_path / "config.json"
+    for key in ("penalty_mu_init", "penalty_growth", "penalty_outer_rounds"):
+        config.write_text(json.dumps({"controls": {key: 1}}))
+        assert run("discover", "--data", ds2_csv, "--config", str(config),
+                   "--out", str(tmp_path / "result.json")) == 2
+        assert "invalid solver controls" in capsys.readouterr().err
+
+
+def test_invalid_scalar_flags_are_usage_errors(ds2_csv, tmp_path, capsys) -> None:
+    assert run("generate", "--dataset", "2", "--seed", "-1",
+               "--out", str(tmp_path / "x.csv")) == 2
+    out = tmp_path / "result.json"
+    # theta is checked before the solve, so nothing is written
+    assert run("discover", "--data", ds2_csv, "--theta", "nan", "--out", str(out)) == 2
+    assert not out.exists()
+    assert "--theta" in capsys.readouterr().err
+
+
+# Config keys read as scalars, each with commands that read it. Every
+# command is small, and discover/evaluate name absent files, so a value
+# that slipped through validation could not start a long run.
+_SCALAR_KEY_COMMANDS = {
+    "m": [("generate", "--dataset", "2"),
+          ("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "5"),
+          ("repro", "estimates", "--datasets", "1")],
+    "seed": [("generate", "--dataset", "2"), ("discover", "--data", "absent.csv"),
+             ("repro", "comparison", "--datasets", "1")],
+    "theta": [("discover", "--data", "absent.csv"),
+              ("evaluate", "--result", "absent.json", "--data", "absent.csv", "--dataset", "2"),
+              ("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "5"),
+              ("repro", "estimates", "--datasets", "1")],
+    "jobs": [("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "5"),
+             ("repro", "figures", "--datasets", "1", "--sigma-grid", "0.3",
+              "--lambda-grid", "5")],
+    "dataset": [("generate",), ("sweep", "--sigma-grid", "0.3", "--lambda-grid", "5"),
+                ("evaluate", "--result", "absent.json", "--data", "absent.csv")],
+}
+
+_NOT_A_COUNT = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(max_value=-1),
+    st.floats(max_value=-1e-3, allow_infinity=False))
+_FRACTIONAL = st.floats(1e-3, 1e6).filter(lambda v: not v.is_integer())
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_invalid_config_scalars_are_usage_errors(tmp_path_factory, data) -> None:
+    key = data.draw(st.sampled_from(sorted(_SCALAR_KEY_COMMANDS)))
+    # a positive fraction is a valid theta
+    value = data.draw(_NOT_A_COUNT if key == "theta" else st.one_of(_NOT_A_COUNT, _FRACTIONAL))
+    command = data.draw(st.sampled_from(_SCALAR_KEY_COMMANDS[key]))
+    work = tmp_path_factory.mktemp("scalar")
+    config = work / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = ("--out-dir",) if command[0] == "repro" else ("--out",)
+    code = run(*command, "--config", str(config), *out, str(work / "out"))
+    assert code == 2, (key, value, command)
 
 
 # ---------------------------------------------------------------- evaluate

@@ -18,6 +18,7 @@ from slcd import (
     VariableDef,
     builtin_spec,
     center,
+    objective,
     residuals,
     row_threshold,
     sample,
@@ -28,8 +29,10 @@ from slcd import (
     solve_relaxed,
 )
 from slcd import solver
-from slcd.solver import _ladder, _line_search, _qp_solve, _sqp, _Workspace, objective_of
+from slcd.objective import _Workspace
+from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
 from conftest import PAIR_SUM_ALIAS
+from oracle_utils import objective_of
 
 
 # ---------------------------------------------------------------- controls
@@ -41,32 +44,25 @@ def test_controls_defaults_and_final_weight() -> None:
     assert c.backtrack_factor == 0.5
     assert c.armijo_c == 1e-4
     assert c.grad_tol == 1e-6
-    assert c.penalty_mu_init == 1.0
-    assert c.penalty_growth == 10.0
-    assert c.penalty_outer_rounds == 4
     assert c.seed == 0
-    # final weight after all growth rounds: 1 * 10^(4-1)
-    assert c.final_penalty_weight == pytest.approx(1000.0)
+    assert REFERENCE_WEIGHT == 1000.0
 
 
 def test_controls_validation() -> None:
     with pytest.raises(ValueError):
         SolverControls(backtrack_factor=1.0)
     with pytest.raises(ValueError):
-        SolverControls(penalty_growth=1.0)
-    with pytest.raises(ValueError):
         SolverControls(max_inner_steps=0)
     with pytest.raises(ValueError):
         SolverControls(seed=-1)
     for bad in (dict(grad_tol=float("nan")), dict(step_init=float("inf")),
-                dict(penalty_mu_init=float("nan")), dict(penalty_mu_init=-1.0), dict(seed=1.5),
-                dict(max_inner_steps=10.0), dict(penalty_outer_rounds=2.5)):
+                dict(seed=1.5), dict(max_inner_steps=10.0)):
         with pytest.raises(ValueError):
             SolverControls(**bad)
 
 
 def test_controls_json_round_trip() -> None:
-    c = SolverControls(seed=9, max_inner_steps=50, penalty_outer_rounds=2)
+    c = SolverControls(seed=9, max_inner_steps=50)
     assert SolverControls.from_json(c.to_json()) == c
 
 
@@ -214,11 +210,15 @@ def test_slcd_beats_alias_on_sum_model(pair_sum_data) -> None:
 
 
 def test_slcd_aborts_on_nan_data() -> None:
-    X = np.full((3, 50), np.nan)
-    with pytest.raises(SolverAbort) as exc_info:
-        slcd(X, Hyperparams(restarts=2, iterations=1))
-    assert len(exc_info.value.records) == 2
-    assert all(r.aborted for r in exc_info.value.records)
+    one_cell = np.random.default_rng(0).standard_normal((3, 50))
+    for X, cell in ((np.full((3, 50), np.nan), None), (one_cell, np.nan), (one_cell, np.inf)):
+        X = X.copy()
+        if cell is not None:
+            X[1, 7] = cell
+        with pytest.raises(SolverAbort) as exc_info:
+            slcd(X, Hyperparams(restarts=2, iterations=1))
+        assert len(exc_info.value.records) == 2
+        assert all(r.aborted for r in exc_info.value.records)
 
 
 def test_slcd_rejects_single_sample() -> None:
@@ -230,6 +230,36 @@ def test_slcd_accepts_raw_arrays(ds2_data, fast_hp) -> None:
     from_dataset = slcd(ds2_data, fast_hp)
     from_array = slcd(ds2_data.X, fast_hp)
     np.testing.assert_array_equal(from_dataset.D_opt, from_array.D_opt)
+
+
+def test_slcd_reports_reference_objective(ds2_data, fast_hp, monkeypatch) -> None:
+    """J_min and each restart's residuals, computed on the Gram-matrix
+    core, agree with the public X-form objective() and residuals()."""
+    candidates = []
+
+    def recording_threshold(D, tau):
+        out = row_threshold(D, tau)
+        candidates.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "row_threshold", recording_threshold)
+    result = slcd(ds2_data, fast_hp)
+    ds = center(ds2_data)
+    Sigma, sd = sample_covariance(ds)
+    hp = result.hp
+
+    def reference(D) -> float:
+        return objective(D, ds.X, Sigma, sd, hp, REFERENCE_WEIGHT, REFERENCE_WEIGHT).total
+
+    assert result.J_min == pytest.approx(reference(result.D_opt), rel=1e-9)
+    R = fast_hp.restarts
+    for r, rec in enumerate(result.restarts):
+        # restart r's candidates, one per round; its record holds the best
+        best = min(candidates[r::R], key=lambda D: abs(reference(D) - rec.objective))
+        assert rec.objective == pytest.approx(reference(best), rel=1e-9)
+        recon, cov = residuals(best, ds.X, Sigma, sd)
+        assert rec.recon_residual == pytest.approx(recon, rel=1e-9)
+        assert rec.cov_residual == pytest.approx(cov, rel=1e-9)
 
 
 # ------------------------------------------------------------- objective_of
@@ -336,7 +366,7 @@ def test_qp_solve_step_satisfies_kkt(seed: int, nv: int, k: int, c_scale: float)
 
 def _workspace(ds_id: int = 3, m: int = 200):
     spec, ds, Sigma, sd, hp = _problem(ds_id, m=m)
-    return _Workspace(ds.X, Sigma, sd, hp), ds, Sigma, sd, hp
+    return _Workspace(ds.X @ ds.X.T, Sigma, sd, hp), ds, Sigma, sd, hp
 
 
 def _assert_rows_standalone(ws, Z, jac: bool) -> None:
@@ -431,7 +461,7 @@ def test_line_search_ladder_matches_sequential_halving() -> None:
 
 def test_sqp_stack_members_independent() -> None:
     _, ds, Sigma, sd, hp = _problem(2)
-    ws = _Workspace(ds.X, Sigma, sd, hp)
+    ws = _Workspace(ds.X @ ds.X.T, Sigma, sd, hp)
     starts = np.random.default_rng(3).uniform(-1, 1, (6, 4, 4))
     ctl = SolverControls(max_inner_steps=150)
     D, its = _sqp(ws, starts, ctl)
