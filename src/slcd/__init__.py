@@ -61,7 +61,6 @@ from .solver import (
     SolverControls,
     row_threshold,
     slcd,
-    solve_relaxed,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +108,6 @@ __all__ = [
     "slcd",
     "smoothed_rank",
     "smoothed_trace",
-    "solve_relaxed",
     "structure_error",
     "sweep",
     "true_edges",

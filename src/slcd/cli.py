@@ -19,20 +19,17 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import builtin_spec, load_dataset, sample, save_dataset
+from .datagen import Dataset, builtin_spec, load_dataset, sample, save_dataset
 from .evaluation import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_SIGMA_GRID,
     DEFAULT_THETA,
-    MetricBundle,
     extract_edges,
     metric_bundle,
-    precision_recall,
     sweep,
 )
 from .objective import Hyperparams
@@ -44,7 +41,7 @@ from .reference import (
     REFERENCE_LAMBDA,
     REFERENCE_SIGMA,
 )
-from .scm_core import ScmSpec, StructuralMatrix, true_edges
+from .scm_core import ScmSpec, StructuralMatrix
 from .solver import SolverAbort, SolverControls, slcd
 
 __all__ = ["main"]
@@ -192,6 +189,16 @@ def _read_json(path) -> dict:
         raise _CliError(EXIT_USAGE, f"{path} is not valid JSON: {exc}") from exc
 
 
+def _read_dataset(path) -> Dataset:
+    """load_dataset(path), with a read or format error as exit 3."""
+    try:
+        return load_dataset(path)
+    except OSError as exc:
+        raise _CliError(EXIT_IO, f"cannot read dataset: {exc}") from exc
+    except ValueError as exc:
+        raise _CliError(EXIT_IO, f"malformed dataset: {exc}") from exc
+
+
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
@@ -222,12 +229,7 @@ def cmd_discover(args) -> int:
     hp = _build_hp(args, config)
     controls = _build_controls(args, config)
     theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
-    try:
-        ds = load_dataset(args.data)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read dataset: {exc}") from exc
-    except ValueError as exc:
-        raise _CliError(EXIT_IO, f"malformed dataset: {exc}") from exc
+    ds = _read_dataset(args.data)
     out = args.out if args.out is not None else str(
         Path(args.data).with_suffix(".result.json"))
     try:
@@ -268,12 +270,7 @@ def cmd_evaluate(args) -> int:
     theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
     spec = _resolve_spec(args, config)
     D_hat = _load_estimate(args.result)
-    try:
-        ds = load_dataset(args.data)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read dataset: {exc}") from exc
-    except ValueError as exc:
-        raise _CliError(EXIT_IO, f"malformed dataset: {exc}") from exc
+    ds = _read_dataset(args.data)
     D_true = spec.structural_matrix()
     try:
         bundle = metric_bundle(D_hat, ds, D_true, theta)
@@ -319,36 +316,48 @@ def _parse_grid(text: str | None, config: dict, key: str, default) -> tuple[floa
     return values
 
 
+def _sweep_settings(args, config: dict) -> dict:
+    """The keywords of sweep() from flags and config, as sweep and repro
+    figures share them."""
+    hp, controls = _build_hp(args, config), _build_controls(args, config)
+    return dict(
+        hp=hp, controls=controls, data_seed=controls.seed,
+        theta=_number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float),
+        m=_number(_resolve(args.m, config, "m", 1000), "m", low=2),
+        jobs=_number(_resolve(args.jobs, config, "jobs", 1), "jobs", low=1),
+        sigma_grid=_parse_grid(args.sigma_grid, config, "sigma_grid", DEFAULT_SIGMA_GRID),
+        lambda_grid=_parse_grid(args.lambda_grid, config, "lambda_grid", DEFAULT_LAMBDA_GRID))
+
+
+def _run_sweep(dataset: int, out, settings: dict) -> tuple[int, int, int]:
+    """sweep(dataset, **settings) written to the CSV file out. Returns the
+    counts of cells, of solved cells and of cells recovering every link.
+    A grid that sweep() rejects is a usage error, an unwritable out an
+    I/O error."""
+    try:
+        result = sweep(dataset, **settings)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc)) from exc
+    try:
+        result.to_csv(str(out))
+    except OSError as exc:
+        raise _CliError(EXIT_IO, f"cannot write {out}: {exc}") from exc
+    ok = [c.metrics for c in result.cells if c.metrics is not None]
+    return len(result.cells), len(ok), sum(b.precision == 1.0 and b.recall == 1.0 for b in ok)
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    hp = _build_hp(args, config)
-    controls = _build_controls(args, config)
-    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
-    m = _number(_resolve(args.m, config, "m", 1000), "m", low=2)
-    jobs = _number(_resolve(args.jobs, config, "jobs", 1), "jobs", low=1)
+    settings = _sweep_settings(args, config)
     dataset = _resolve(args.dataset, config, "dataset", None)
     if dataset is None:
         raise _CliError(EXIT_USAGE, "sweep requires --dataset ID")
     dataset = _number(dataset, "dataset")
-    sigma_grid = _parse_grid(args.sigma_grid, config, "sigma_grid", DEFAULT_SIGMA_GRID)
-    lambda_grid = _parse_grid(args.lambda_grid, config, "lambda_grid", DEFAULT_LAMBDA_GRID)
-    try:
-        result = sweep(dataset, sigma_grid, lambda_grid, hp=hp,
-                       controls=controls, m=m, data_seed=controls.seed,
-                       theta=theta, jobs=jobs)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
     out = args.out if args.out is not None else f"sweep_dataset{dataset}.csv"
-    try:
-        result.to_csv(out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {out}: {exc}") from exc
-    ok = [c for c in result.cells if c.metrics is not None]
-    full = [c for c in ok
-            if c.metrics.precision == 1.0 and c.metrics.recall == 1.0]
-    print(f"wrote {out}: {len(result.cells)} cells, {len(ok)} solved, "
-          f"{len(full)} with every link recovered")
-    if not ok:
+    cells, solved, full = _run_sweep(dataset, out, settings)
+    print(f"wrote {out}: {cells} cells, {solved} solved, "
+          f"{full} with every link recovered")
+    if not solved:
         print("every cell aborted", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -497,38 +506,25 @@ def _repro_gated(args, config: dict, out_dir: Path, which: str, title: str, note
 def _repro_sweeps(args, config: dict, out_dir: Path) -> int:
     """One hyperparameter sweep CSV per dataset."""
     ids = _parse_dataset_list(args.datasets)
-    m = _number(_resolve(args.m, config, "m", 1000), "m", low=2)
-    theta = _number(_resolve(args.theta, config, "theta", DEFAULT_THETA), "theta", float)
-    jobs = _number(_resolve(args.jobs, config, "jobs", 1), "jobs", low=1)
-    hp = _build_hp(args, config)
-    controls = _build_controls(args, config)
-    sigma_grid = _parse_grid(args.sigma_grid, config, "sigma_grid", DEFAULT_SIGMA_GRID)
-    lambda_grid = _parse_grid(args.lambda_grid, config, "lambda_grid", DEFAULT_LAMBDA_GRID)
+    settings = _sweep_settings(args, config)
+    sigma_grid, lambda_grid, m = settings["sigma_grid"], settings["lambda_grid"], settings["m"]
     summaries = []
     lines = ["# Hyperparameter sweeps", "",
              f"sigma grid {list(sigma_grid)}, lambda grid {list(lambda_grid)}, "
-             f"m={m}, restarts={hp.restarts}", ""]
+             f"m={m}, restarts={settings['hp'].restarts}", ""]
     for ds_id in ids:
-        result = sweep(ds_id, sigma_grid, lambda_grid, hp=hp, controls=controls,
-                       m=m, data_seed=controls.seed, theta=theta, jobs=jobs)
         csv_path = out_dir / f"sweep_dataset{ds_id}.csv"
-        try:
-            result.to_csv(str(csv_path))
-        except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot write {csv_path}: {exc}") from exc
-        ok = [c for c in result.cells if c.metrics is not None]
-        full = [c for c in ok
-                if c.metrics.precision == 1.0 and c.metrics.recall == 1.0]
+        cells, solved, full = _run_sweep(ds_id, csv_path, settings)
         summaries.append({
             "id": ds_id,
-            "cells": len(result.cells),
-            "solved": len(ok),
-            "full_recovery_cells": len(full),
+            "cells": cells,
+            "solved": solved,
+            "full_recovery_cells": full,
             "csv": csv_path.name,
         })
-        lines.append(f"- Dataset {ds_id}: {len(full)} of {len(result.cells)} "
+        lines.append(f"- Dataset {ds_id}: {full} of {cells} "
                      f"cells recover every link ({csv_path.name})")
-        print(f"dataset {ds_id}: {len(full)}/{len(result.cells)} cells "
+        print(f"dataset {ds_id}: {full}/{cells} cells "
               f"with every link recovered -> {csv_path}")
     report = {
         "format_version": FORMAT_VERSION,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -184,9 +185,7 @@ def save_dataset(ds: Dataset, csv_path: str) -> tuple[str, str]:
     Returns the two paths written."""
     sidecar = _sidecar_path(csv_path)
     with open(csv_path, "w", encoding="utf-8") as fh:
-        for col in ds.X.T:
-            fh.write(",".join(f"{v:.17g}" for v in col))
-            fh.write("\n")
+        np.savetxt(fh, ds.X.T, fmt="%.17g", delimiter=",")
     meta = {
         "format_version": FORMAT_VERSION,
         "spec_name": ds.spec_name,
@@ -200,17 +199,17 @@ def save_dataset(ds: Dataset, csv_path: str) -> tuple[str, str]:
 
 
 def load_dataset(csv_path: str) -> Dataset:
-    """Read a dataset written by save_dataset. The sidecar is optional;
-    without it the provenance fields fall back to neutral values."""
-    rows = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    if not rows:
+    """Read a dataset written by save_dataset. Empty lines are skipped;
+    any other line must hold the same number of numeric cells, so a
+    line of only spaces or a '#' comment is malformed (ValueError). The
+    sidecar is optional; without it the provenance fields fall back to
+    neutral values."""
+    with open(csv_path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        # an empty input is reported below as a ValueError, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        X = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2).T
+    if X.size == 0:
         raise ValueError(f"no data rows in {csv_path}")
-    X = np.array(rows, dtype=float).T
     meta = {"spec_name": "", "seed": 0, "centered": False}
     sidecar = _sidecar_path(csv_path)
     if os.path.exists(sidecar):

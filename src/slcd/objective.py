@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class Hyperparams:
             raise ValueError(f"iterations must be positive, got {self.iterations}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
-
-    def with_resolved_epsilons(self, X: np.ndarray, Sigma: np.ndarray) -> "Hyperparams":
-        eps1, eps2 = resolve_epsilons(self, X, Sigma)
-        return replace(self, eps1=eps1, eps2=eps2)
 
     def to_json(self) -> dict:
         return {

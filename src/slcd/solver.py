@@ -45,7 +45,7 @@ import numpy as np
 
 from .datagen import Dataset, center
 from .objective import (Hyperparams, _require_finite, _require_integer, _Workspace,
-                        objective, resolve_epsilons)
+                        resolve_epsilons)
 from .scm_core import StructuralMatrix
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "RestartRecord",
     "DiscoveryResult",
     "SolverAbort",
-    "solve_relaxed",
     "row_threshold",
     "slcd",
     "REFERENCE_WEIGHT",
@@ -379,31 +378,6 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
         Z[i] = z[r]
         iters[i] = controls.max_inner_steps
     return Z.reshape(-1, n, n), iters
-
-
-def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams,
-                  controls: SolverControls = SolverControls(),
-                  return_info: bool = False):
-    """Locally minimize the rank/trace surrogate subject to the two
-    residual constraints, starting from D_init.
-
-    The result never scores worse than D_init under the reference
-    penalty weight; if the solve fails to improve, D_init is returned
-    unchanged.
-    """
-    D_init = np.asarray(D_init, dtype=float)
-    X = np.asarray(X, dtype=float)
-    ws = _Workspace(X @ X.T, Sigma, sigma_diag, hp.with_resolved_epsilons(X, Sigma))
-    D, iters = _sqp(ws, D_init[None], controls)
-    D, iters = D[0], iters[0]
-    mu = REFERENCE_WEIGHT
-    j_out = objective(D, X, Sigma, sigma_diag, hp, mu, mu).total
-    j_in = objective(D_init, X, Sigma, sigma_diag, hp, mu, mu).total
-    if not np.isfinite(j_out) or j_out > j_in:
-        D = D_init.copy()
-    if return_info:
-        return D, {"iterations": iters}
-    return D
 
 
 def row_threshold(D, tau: int) -> np.ndarray:

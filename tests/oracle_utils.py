@@ -7,13 +7,15 @@ instances. Keep n at 2 or 3: the support count grows combinatorially.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import minimize
 
-from slcd import Hyperparams, objective
-from slcd.solver import REFERENCE_WEIGHT
+from slcd import Hyperparams, SolverControls, objective, resolve_epsilons
+from slcd.objective import _Workspace
+from slcd.solver import REFERENCE_WEIGHT, _sqp
 
 
 def brute_force_best(X_raw: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -74,3 +76,24 @@ def objective_of(D, X, hp: Hyperparams, mu: float = REFERENCE_WEIGHT) -> float:
     Sigma = (X @ X.T) / X.shape[1]
     sd = np.diag(Sigma).copy()
     return objective(D, X, Sigma, sd, hp, mu, mu).total
+
+
+def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams) -> np.ndarray:
+    """Locally minimize the rank/trace surrogate subject to the two
+    residual constraints, starting from D_init.
+
+    The result never scores worse than D_init under the reference
+    penalty weight; if the solve fails to improve, D_init is returned
+    unchanged.
+    """
+    D_init = np.asarray(D_init, dtype=float)
+    X = np.asarray(X, dtype=float)
+    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
+    ws = _Workspace(X @ X.T, Sigma, sigma_diag, replace(hp, eps1=eps1, eps2=eps2))
+    D = _sqp(ws, D_init[None], SolverControls())[0][0]
+    mu = REFERENCE_WEIGHT
+    j_out = objective(D, X, Sigma, sigma_diag, hp, mu, mu).total
+    j_in = objective(D_init, X, Sigma, sigma_diag, hp, mu, mu).total
+    if not np.isfinite(j_out) or j_out > j_in:
+        D = D_init.copy()
+    return D

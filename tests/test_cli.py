@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,32 @@ def test_discover_nan_data_aborts_with_diagnostics(tmp_path, capsys) -> None:
     diag = json.loads(out.read_text())
     assert diag["error"]
     assert len(diag["restarts"]) == 2
+
+
+MALFORMED_CSV = {
+    "empty": "",
+    "blank-lines": "\n\n",
+    "ragged-row": "1,2,3\n4,5\n",
+    "non-numeric-cell": "1,2,3\n4,x,6\n",
+    "trailing-comma": "1,2,3,\n4,5,6,\n",
+    "comment-line": "# x1,x2,x3\n1,2,3\n4,5,6\n",
+    "whitespace-only-line": "1,2,3\n \t\n4,5,6\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
+def test_discover_malformed_data_is_io_error(tmp_path, capsys, text) -> None:
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("discover", "--data", str(bad), "--restarts", "1", "--iterations", "1",
+                   "--out", str(tmp_path / "result.json")) == 3
+    err = capsys.readouterr().err
+    assert "malformed dataset" in err
+    if not text.strip():
+        assert "no data rows" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------ configuration
@@ -367,6 +394,20 @@ def test_sweep_requires_dataset(capsys) -> None:
 
 def test_sweep_rejects_malformed_grid(capsys) -> None:
     assert run("sweep", "--dataset", "2", "--sigma-grid", "0.3;0.5") == 2
+
+
+@pytest.mark.parametrize("command", [("sweep", "--dataset", "1"),
+                                     ("repro", "figures", "--datasets", "1")])
+@pytest.mark.parametrize("sigma_grid, message", [("0.3,0.3", "grid values must be unique"),
+                                                 ("0", "sigma must be positive")])
+def test_sweep_rejects_invalid_grid(tmp_path, monkeypatch, capsys, command, sigma_grid,
+                                    message) -> None:
+    """A grid that parses but that sweep() rejects is a usage error in
+    both commands that run sweeps."""
+    monkeypatch.chdir(tmp_path)
+    assert run(*command, "--m", "50", "--restarts", "1", "--iterations", "1",
+               "--sigma-grid", sigma_grid, "--lambda-grid", "5") == 2
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- repro

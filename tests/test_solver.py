@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,19 +21,19 @@ from slcd import (
     center,
     objective,
     residuals,
+    resolve_epsilons,
     row_threshold,
     sample,
     sample_covariance,
     slcd,
     smoothed_rank,
     smoothed_trace,
-    solve_relaxed,
 )
 from slcd import solver
 from slcd.objective import _Workspace
 from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
 from conftest import PAIR_SUM_ALIAS
-from oracle_utils import objective_of
+from oracle_utils import objective_of, solve_relaxed
 
 
 # ---------------------------------------------------------------- controls
@@ -99,11 +100,16 @@ def test_row_threshold_rowwise_independent() -> None:
 
 # ----------------------------------------------------------- solve_relaxed
 
+def _resolved(hp: Hyperparams, X, Sigma) -> Hyperparams:
+    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
+    return replace(hp, eps1=eps1, eps2=eps2)
+
+
 def _problem(ds_id: int, m: int = 400, seed: int = 0):
     spec = builtin_spec(ds_id)
     ds = center(sample(spec, m, seed))
     Sigma, sd = sample_covariance(ds)
-    hp = Hyperparams().with_resolved_epsilons(ds.X, Sigma)
+    hp = _resolved(Hyperparams(), ds.X, Sigma)
     return spec, ds, Sigma, sd, hp
 
 
@@ -288,7 +294,7 @@ def test_restart_reduction_order_independent(ds2_data) -> None:
     the min of the per-start results no matter the visit order."""
     spec, ds = builtin_spec(2), center(ds2_data)
     Sigma, sd = sample_covariance(ds)
-    hp = Hyperparams().with_resolved_epsilons(ds.X, Sigma)
+    hp = _resolved(Hyperparams(), ds.X, Sigma)
     rng = np.random.default_rng(17)
     starts = [rng.uniform(-1, 1, size=(4, 4)) for _ in range(3)]
 
