@@ -38,8 +38,6 @@ from .reference import (
     EXPECTED_RECOVERED_IDS,
     REFERENCE_COMPARISON,
     REFERENCE_ESTIMATES,
-    REFERENCE_LAMBDA,
-    REFERENCE_SIGMA,
 )
 from .scm_core import ScmSpec, StructuralMatrix
 from .solver import SolverAbort, SolverControls, slcd
@@ -55,7 +53,8 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 # Keys a --config JSON file may set. Flat keys mirror the common flags;
-# "controls" may hold a nested object with any SolverControls field.
+# "controls" may hold a nested object with any SolverControls field
+# (max_inner_steps, seed).
 _CONFIG_KEYS = frozenset({
     "sigma", "lambda", "tau", "eps1", "eps2", "iterations", "restarts",
     "seed", "theta", "m", "dataset", "sigma_grid", "lambda_grid",
@@ -190,13 +189,18 @@ def _read_json(path) -> dict:
 
 
 def _read_dataset(path) -> Dataset:
-    """load_dataset(path), with a read or format error as exit 3."""
+    """load_dataset(path), with a read or format error, or fewer than
+    the 2 samples that centring needs, as exit 3."""
     try:
-        return load_dataset(path)
+        ds = load_dataset(path)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read dataset: {exc}") from exc
     except ValueError as exc:
         raise _CliError(EXIT_IO, f"malformed dataset: {exc}") from exc
+    if ds.m < 2:
+        raise _CliError(EXIT_IO, f"malformed dataset: {path} holds {ds.m} sample, "
+                                 "at least 2 are needed")
+    return ds
 
 
 # ---------------------------------------------------------------- generate
@@ -257,9 +261,10 @@ def cmd_discover(args) -> int:
 
 def _load_estimate(path) -> np.ndarray:
     obj = _read_json(path)
-    payload = obj.get("estimated_matrix", obj)
+    if isinstance(obj, dict):
+        obj = obj.get("estimated_matrix", obj)
     try:
-        return StructuralMatrix.from_json(payload).entries
+        return StructuralMatrix.from_json(obj).entries
     except (ValueError, KeyError, TypeError) as exc:
         raise _CliError(
             EXIT_USAGE, f"{path} does not hold an estimated matrix: {exc}") from exc

@@ -126,6 +126,14 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _as_dataset(data) -> Dataset:
+    """data itself when it is a Dataset, else a raw n-by-m array wrapped
+    into one without provenance."""
+    if isinstance(data, Dataset):
+        return data
+    return Dataset(X=np.asarray(data, dtype=float), spec_name="", seed=0)
+
+
 def builtin_spec(dataset_id: int) -> ScmSpec:
     """One of the five built-in benchmark SCM specifications."""
     try:
@@ -191,7 +199,6 @@ def save_dataset(ds: Dataset, csv_path: str) -> tuple[str, str]:
         "spec_name": ds.spec_name,
         "seed": ds.seed,
         "m": ds.m,
-        "centered": ds.centered,
     }
     with open(sidecar, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -203,22 +210,19 @@ def load_dataset(csv_path: str) -> Dataset:
     any other line must hold the same number of numeric cells, so a
     line of only spaces or a '#' comment is malformed (ValueError). The
     sidecar is optional; without it the provenance fields fall back to
-    neutral values."""
+    neutral values. A "centered" value in the sidecar, which earlier
+    versions wrote, is ignored: data read from a file are never taken
+    as centred, so slcd() centres them."""
     with open(csv_path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         # an empty input is reported below as a ValueError, not a warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         X = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2).T
     if X.size == 0:
         raise ValueError(f"no data rows in {csv_path}")
-    meta = {"spec_name": "", "seed": 0, "centered": False}
+    meta = {"spec_name": "", "seed": 0}
     sidecar = _sidecar_path(csv_path)
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        meta.update({k: loaded[k] for k in ("spec_name", "seed", "centered") if k in loaded})
-    return Dataset(
-        X=X,
-        spec_name=str(meta["spec_name"]),
-        seed=int(meta["seed"]),
-        centered=bool(meta["centered"]),
-    )
+        meta.update({k: loaded[k] for k in ("spec_name", "seed") if k in loaded})
+    return Dataset(X=X, spec_name=str(meta["spec_name"]), seed=int(meta["seed"]))

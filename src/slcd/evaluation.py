@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import Dataset, builtin_spec, sample, sample_covariance
+from .datagen import _as_dataset, builtin_spec, sample, sample_covariance
 from .objective import Hyperparams
-from .scm_core import EdgeSet, StructuralMatrix, _matrix_entries
+from .scm_core import EdgeSet, _matrix_entries, true_edges
 from .solver import DiscoveryResult, SolverAbort, SolverControls, slcd
 
 __all__ = [
@@ -135,12 +135,9 @@ def metric_bundle(D_hat, data, D_true, theta: float = DEFAULT_THETA) -> MetricBu
     data may be a Dataset or a raw n-by-m array; the covariance is the
     1/m sample covariance of the centered data.
     """
-    ds = data if isinstance(data, Dataset) else Dataset(
-        X=np.asarray(data, dtype=float), spec_name="", seed=0)
+    ds = _as_dataset(data)
     Sigma, sd = sample_covariance(ds)
     D_true_a = _matrix_entries(D_true)
-    from .scm_core import true_edges
-
     est = extract_edges(D_hat, theta)
     truth = true_edges(D_true_a)
     precision, recall, correct = precision_recall(est, truth)
@@ -178,9 +175,6 @@ class SweepResult:
     cells: list[SweepCell] = field(default_factory=list)
     hp: Hyperparams = Hyperparams()
     controls: SolverControls = SolverControls()
-
-    def grid(self) -> list[tuple[float, float]]:
-        return [(c.sigma, c.lam) for c in self.cells]
 
     def to_csv(self, path: str) -> str:
         """Tidy CSV, one row per cell."""

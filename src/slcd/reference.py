@@ -14,16 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "REFERENCE_SIGMA",
-    "REFERENCE_LAMBDA",
     "REFERENCE_ESTIMATES",
     "REFERENCE_COMPARISON",
     "COMPARISON_METHODS",
     "EXPECTED_RECOVERED_IDS",
 ]
-
-REFERENCE_SIGMA = 0.3
-REFERENCE_LAMBDA = 5.0
 
 # Datasets 2 through 5 were recovered exactly (precision = recall = 1).
 # Dataset 1 is a known failure case: one of its independent variables

@@ -179,10 +179,6 @@ class ScmSpec:
     def independent_indices(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.variables) if v.role == "independent")
 
-    @property
-    def dependent_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.variables) if v.role == "dependent")
-
     def structural_matrix(self) -> "StructuralMatrix":
         """Ground-truth D: diagonal 1 for independents, coefficients for dependents."""
         D = np.zeros((self.n, self.n))
@@ -282,12 +278,6 @@ class EdgeSet:
 
     def __contains__(self, pair) -> bool:
         return tuple(pair) in self.pairs
-
-    def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.pairs & other.pairs)
-
-    def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.pairs | other.pairs)
 
 
 def _matrix_entries(D) -> np.ndarray:

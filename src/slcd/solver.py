@@ -43,9 +43,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .datagen import Dataset, center
-from .objective import (Hyperparams, _require_finite, _require_integer, _Workspace,
-                        resolve_epsilons)
+from .datagen import _as_dataset, center
+from .objective import Hyperparams, _require_integer, _Workspace, resolve_epsilons
 from .scm_core import StructuralMatrix
 
 __all__ = [
@@ -64,40 +63,34 @@ FORMAT_VERSION = 1
 # compared and J_min is reported.
 REFERENCE_WEIGHT = 1000.0
 
+# Constants of the SQP: the Armijo sufficient-decrease fraction (the
+# textbook 1e-4 of Nocedal & Wright, Numerical Optimization, sec. 3.1)
+# and backtracking factor of the merit line search, the first trial
+# step of the constraint-restoration fallback used when the quadratic
+# subproblem has no usable solution, and the stationarity tolerance on
+# the length of a feasible iterate's step.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_RESTORE_STEP = 1e-2
+_GRAD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverControls:
-    """Knobs of the relaxed solve and the restart loop.
-
-    max_inner_steps caps SQP iterations per solve call. backtrack_factor
-    and armijo_c drive the merit line search; step_init is the initial
-    trial step of the constraint-restoration fallback used when the
-    quadratic subproblem has no usable solution. grad_tol is the
-    stationarity tolerance. seed feeds the restart initializations.
-    Candidates are compared at the fixed REFERENCE_WEIGHT.
+    """Knobs of the restart loop: max_inner_steps caps SQP iterations
+    per solve call, and seed feeds the restart initializations. The
+    SQP's line-search and stopping constants are fixed (see _ARMIJO_C
+    and its neighbours), and candidates are compared at the fixed
+    REFERENCE_WEIGHT.
     """
 
     max_inner_steps: int = 500
-    step_init: float = 1e-2
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
-    grad_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        _require_finite(step_init=self.step_init, backtrack_factor=self.backtrack_factor,
-                        armijo_c=self.armijo_c, grad_tol=self.grad_tol)
         _require_integer(max_inner_steps=self.max_inner_steps, seed=self.seed)
         if self.max_inner_steps < 1:
             raise ValueError("max_inner_steps must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -224,16 +217,21 @@ def _qp_solve(H, J, c):
     return (L @ W)[:, 0], lams
 
 
-def _ladder(alpha: float, beta: float) -> list[float]:
+def _ladder(alpha: float, beta: float) -> tuple[float, ...]:
     """The Armijo trial steps alpha, alpha beta, alpha beta^2, ... above 1e-16."""
     steps = []
     while alpha > 1e-16:
         steps.append(alpha)
         alpha *= beta
-    return steps
+    return tuple(steps)
 
 
-def _line_search(ws: _Workspace, z, P, rows, ladders, nu, phi0, dphi, armijo_c):
+# The trial steps of a QP step and of a restoration step.
+_FULL_STEPS = _ladder(1.0, _BACKTRACK)
+_RESTORE_STEPS = _ladder(_RESTORE_STEP, _BACKTRACK)
+
+
+def _line_search(ws: _Workspace, z, P, rows, ladders, nu, phi0, dphi):
     """Armijo backtracking on the l1 merit for several members at once.
     Member rows[i] tries the steps ladders[i] in order and takes the
     first that passes. Trials are evaluated in rounds: a member still
@@ -255,7 +253,7 @@ def _line_search(ws: _Workspace, z, P, rows, ladders, nu, phi0, dphi, armijo_c):
         for i, steps in zip(pending, trials):
             for t in range(base, base + len(steps)):
                 phin = ft[t] + nu[i] * (max(ct[t][0], 0.0) + max(ct[t][1], 0.0))
-                if math.isfinite(phin) and phin <= phi0[i] + armijo_c * alphas[t] * dphi[i]:
+                if math.isfinite(phin) and phin <= phi0[i] + _ARMIJO_C * alphas[t] * dphi[i]:
                     out[i] = (alphas[t], Zt[t])
                     break
             else:
@@ -287,8 +285,6 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
     f, c = [F[i] for i in idx], [C[i] for i in idx]
     H = np.tile(np.eye(nv), (len(idx), 1, 1))
     nu = [1.0] * len(idx)
-    full_steps = _ladder(1.0, controls.backtrack_factor)
-    restore_steps = _ladder(controls.step_init, controls.backtrack_factor)
     for it in range(controls.max_inner_steps):
         if not idx:
             break
@@ -320,15 +316,14 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             if r in stopped:
                 continue
             nu[r] = max(nu[r], 2.0 * max(abs(lams[r][0]), abs(lams[r][1])) + 1.0)
-            if pn[r] < controls.grad_tol and viol0[r] <= 0.0:
+            if pn[r] < _GRAD_TOL and viol0[r] <= 0.0:
                 continue
             rows.append(r)
-            ladders.append(restore_steps if restoring[r] else full_steps)
+            ladders.append(_RESTORE_STEPS if restoring[r] else _FULL_STEPS)
             nus.append(nu[r])
             phi0.append(f[r] + nu[r] * viol0[r])
             dphi.append(min(gp[r] - nu[r] * viol0[r], -1e-16))
-        hits = dict(zip(rows, _line_search(ws, z, P, rows, ladders, nus, phi0, dphi,
-                                           controls.armijo_c)))
+        hits = dict(zip(rows, _line_search(ws, z, P, rows, ladders, nus, phi0, dphi)))
         # a member stops with its iterate when no step passed, and after a negligible step
         keep = [r for r in rows if hits[r] is not None and hits[r][0] * pn[r] >= 1e-14]
         if len(keep) < len(idx):
@@ -400,12 +395,6 @@ def _data_abort(restarts: int, seed: int, why: str) -> SolverAbort:
                              recon_residual=math.nan, cov_residual=math.nan, iterations=0,
                              wall_ms=0.0, aborted=True, message=why) for r in range(restarts)]
     return SolverAbort(f"every restart aborted: {why}", records)
-
-
-def _as_dataset(data) -> Dataset:
-    if isinstance(data, Dataset):
-        return data
-    return Dataset(X=np.asarray(data, dtype=float), spec_name="", seed=0, centered=False)
 
 
 def slcd(data, hp: Hyperparams = Hyperparams(),

@@ -202,6 +202,19 @@ def test_discover_malformed_data_is_io_error(tmp_path, capsys, text) -> None:
     assert "Traceback" not in err
 
 
+def test_single_sample_dataset_is_io_error(tmp_path, capsys) -> None:
+    data = str(tmp_path / "one.csv")
+    assert run("generate", "--dataset", "2", "--m", "1", "--out", data) == 0
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(StructuralMatrix(np.eye(4)).to_json()))
+    capsys.readouterr()
+    assert run("discover", "--data", data, "--out", str(tmp_path / "r.json")) == 3
+    assert run("evaluate", "--result", str(result), "--data", data, "--dataset", "2") == 3
+    err = capsys.readouterr().err
+    assert err.count("holds 1 sample, at least 2 are needed") == 2
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ configuration
 
 def test_config_precedence_flags_over_file(ds2_csv, tmp_path) -> None:
@@ -226,8 +239,7 @@ def test_config_controls_section(ds2_csv, tmp_path) -> None:
     assert run("discover", "--data", ds2_csv, "--config", str(config),
                "--out", str(out)) == 0
     ctl = json.loads(out.read_text())["controls"]
-    assert ctl["max_inner_steps"] == 7
-    assert ctl["seed"] == 3
+    assert ctl == {"max_inner_steps": 7, "seed": 3}
 
 
 def test_config_unknown_key_rejected(ds2_csv, tmp_path, capsys) -> None:
@@ -256,9 +268,11 @@ def test_config_missing_file_is_io_error(ds2_csv, tmp_path) -> None:
 
 
 def test_config_removed_penalty_controls_rejected(ds2_csv, tmp_path, capsys) -> None:
-    # the reference penalty weight is a constant now; its three knobs are gone
+    # the reference penalty weight and the SQP's line-search and stopping
+    # constants are fixed; their knobs are gone
     config = tmp_path / "config.json"
-    for key in ("penalty_mu_init", "penalty_growth", "penalty_outer_rounds"):
+    for key in ("penalty_mu_init", "penalty_growth", "penalty_outer_rounds",
+                "step_init", "backtrack_factor", "armijo_c", "grad_tol"):
         config.write_text(json.dumps({"controls": {key: 1}}))
         assert run("discover", "--data", ds2_csv, "--config", str(config),
                    "--out", str(tmp_path / "result.json")) == 2
@@ -359,11 +373,22 @@ def test_evaluate_shape_mismatch_is_usage_error(ds2_csv, tmp_path, capsys) -> No
     assert "estimate does not match the model" in capsys.readouterr().err
 
 
-def test_evaluate_garbage_result_file(ds2_csv, tmp_path) -> None:
+GARBAGE_RESULTS = {
+    "rows-not-a-list": {"rows": "nope"},
+    "array": [1, 2],
+    "number": 3,
+    "string": "x",
+    "null": None,
+}
+
+
+@pytest.mark.parametrize("payload", GARBAGE_RESULTS.values(), ids=GARBAGE_RESULTS.keys())
+def test_evaluate_garbage_result_file(ds2_csv, tmp_path, capsys, payload) -> None:
     result = tmp_path / "junk.json"
-    result.write_text(json.dumps({"rows": "nope"}))
+    result.write_text(json.dumps(payload))
     assert run("evaluate", "--result", str(result), "--data", ds2_csv,
                "--dataset", "2") == 2
+    assert "does not hold an estimated matrix" in capsys.readouterr().err
 
 
 def test_evaluate_missing_result_is_io_error(ds2_csv, tmp_path) -> None:

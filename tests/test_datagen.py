@@ -13,7 +13,9 @@ from slcd import (
     BUILTIN_IDS,
     Dataset,
     Gaussian,
+    Hyperparams,
     ScmSpec,
+    SolverControls,
     VariableDef,
     builtin_spec,
     center,
@@ -22,6 +24,7 @@ from slcd import (
     sample,
     sample_covariance,
     save_dataset,
+    slcd,
 )
 
 UNIFORM_VARIANCE = 25.0 / 12.0
@@ -178,10 +181,11 @@ def test_csv_round_trip(tmp_path) -> None:
     np.testing.assert_array_equal(back.X, ds.X)
     assert back.spec_name == ds.spec_name
     assert back.seed == ds.seed
-    assert back.centered == ds.centered
+    assert not back.centered
     meta = json.loads((tmp_path / "ds.json").read_text())
-    for key in ("spec_name", "seed", "m", "centered"):
+    for key in ("spec_name", "seed", "m"):
         assert key in meta
+    assert "centered" not in meta
 
 
 FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -220,6 +224,22 @@ def test_load_without_sidecar(tmp_path) -> None:
     (tmp_path / "d.json").unlink()
     back = load_dataset(csv_path)
     np.testing.assert_array_equal(back.X, ds.X)
+
+
+def test_sidecar_centered_claim_is_ignored(tmp_path) -> None:
+    # shifted data whose sidecar (as earlier versions wrote it) says they
+    # are centred must solve as the same file read without a sidecar
+    ds = sample(builtin_spec(2), 200, 0)
+    shifted = Dataset(X=ds.X + 3.0, spec_name=ds.spec_name, seed=ds.seed)
+    claimed, _ = save_dataset(shifted, str(tmp_path / "claimed.csv"))
+    meta = json.loads((tmp_path / "claimed.json").read_text())
+    (tmp_path / "claimed.json").write_text(json.dumps({**meta, "centered": True}))
+    bare, _ = save_dataset(shifted, str(tmp_path / "bare.csv"))
+    (tmp_path / "bare.json").unlink()
+    hp, controls = Hyperparams(restarts=2, iterations=1), SolverControls(max_inner_steps=20)
+    a = slcd(load_dataset(claimed), hp, controls)
+    b = slcd(load_dataset(bare), hp, controls)
+    assert a.D_opt.tobytes() == b.D_opt.tobytes()
 
 
 def test_dataset_normalizes_memory_layout(tmp_path) -> None:

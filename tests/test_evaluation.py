@@ -246,7 +246,7 @@ def test_sweep_cell_order_row_major(monkeypatch) -> None:
     monkeypatch.setattr("slcd.evaluation.slcd", fake)
     result = sweep(2, sigma_grid=(0.1, 0.3), lambda_grid=(1.0, 5.0))
     assert calls == [(0.1, 1.0), (0.1, 5.0), (0.3, 1.0), (0.3, 5.0)]
-    assert result.grid() == calls
+    assert [(c.sigma, c.lam) for c in result.cells] == calls
 
 
 def test_sweep_continues_past_aborted_cell(monkeypatch) -> None:

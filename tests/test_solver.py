@@ -41,23 +41,16 @@ from oracle_utils import objective_of, solve_relaxed
 def test_controls_defaults_and_final_weight() -> None:
     c = SolverControls()
     assert c.max_inner_steps == 500
-    assert c.step_init == 1e-2
-    assert c.backtrack_factor == 0.5
-    assert c.armijo_c == 1e-4
-    assert c.grad_tol == 1e-6
     assert c.seed == 0
     assert REFERENCE_WEIGHT == 1000.0
 
 
 def test_controls_validation() -> None:
     with pytest.raises(ValueError):
-        SolverControls(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
         SolverControls(max_inner_steps=0)
     with pytest.raises(ValueError):
         SolverControls(seed=-1)
-    for bad in (dict(grad_tol=float("nan")), dict(step_init=float("inf")),
-                dict(seed=1.5), dict(max_inner_steps=10.0)):
+    for bad in (dict(seed=1.5), dict(max_inner_steps=10.0)):
         with pytest.raises(ValueError):
             SolverControls(**bad)
 
@@ -457,7 +450,7 @@ def test_line_search_ladder_matches_sequential_halving() -> None:
 
     ws = _ThresholdWorkspace()
     found = _line_search(ws, z, P, list(range(k)), [steps] * k, [1.0] * k,
-                         [phi0] * k, [dphi] * k, 1e-4)
+                         [phi0] * k, [dphi] * k)
     alphas = [None if hit is None else hit[0] for hit in found]
     assert alphas == [sequential(t) for t in thresholds] == [1.0, 0.25, 2.0**-8, None]
     np.testing.assert_array_equal(found[2][1], [2.0**-8, 0.005])
