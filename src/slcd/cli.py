@@ -208,7 +208,7 @@ def _read_dataset(path) -> Dataset:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     spec = _resolve_spec(args, config)
-    m = _number(_resolve(args.m, config, "m", 1000), "m", low=1)
+    m = _number(_resolve(args.m, config, "m", 1000), "m", low=2)
     seed = _number(_resolve(args.seed, config, "seed", 0), "seed")
     ds = sample(spec, m, seed)
     out = args.out if args.out is not None else f"{spec.name}.csv"

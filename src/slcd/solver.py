@@ -421,7 +421,7 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     # no arithmetic runs on non-finite data.
     if not np.isfinite(ds.X).all():
         raise _data_abort(hp.restarts, controls.seed, "the data hold a NaN or infinite value")
-    X = (ds if ds.centered else center(ds)).X
+    X = center(ds).X
     n, m = X.shape
     G = X @ X.T
     Sigma = G / m

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main(argv)."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -80,6 +81,16 @@ def test_generate_rejects_zero_samples(tmp_path, capsys) -> None:
     assert run("generate", "--dataset", "2", "--m", "0",
                "--out", str(tmp_path / "x.csv")) == 2
     assert "--m" in capsys.readouterr().err
+
+
+def test_generate_csv_bytes_are_pinned(tmp_path) -> None:
+    # sha256 of the file the row-by-row np.savetxt writer produced; any
+    # drift in the CSV writer or in sample() changes it
+    out = tmp_path / "d5.csv"
+    assert run("generate", "--dataset", "5", "--m", "20000", "--seed", "0",
+               "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "05ae8047de33d71ece053b599ed4673f60e8b6b2a83f07947d360d545b162863")
 
 
 def test_generate_requires_a_model(capsys) -> None:
@@ -204,7 +215,9 @@ def test_discover_malformed_data_is_io_error(tmp_path, capsys, text) -> None:
 
 def test_single_sample_dataset_is_io_error(tmp_path, capsys) -> None:
     data = str(tmp_path / "one.csv")
-    assert run("generate", "--dataset", "2", "--m", "1", "--out", data) == 0
+    assert run("generate", "--dataset", "2", "--m", "1", "--out", data) == 2
+    assert "--m must be an integer of at least 2" in capsys.readouterr().err
+    Path(data).write_text("0.5,-1.25,0.15,-2\n", encoding="utf-8")
     result = tmp_path / "result.json"
     result.write_text(json.dumps(StructuralMatrix(np.eye(4)).to_json()))
     capsys.readouterr()

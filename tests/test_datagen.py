@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from slcd import (
     save_dataset,
     slcd,
 )
+from slcd import datagen
 
 UNIFORM_VARIANCE = 25.0 / 12.0
 
@@ -210,6 +212,51 @@ def test_csv_round_trip_bit_identical(tmp_path_factory, X) -> None:
     assert back.X.tobytes() == ds.X.tobytes()
 
 
+def _savetxt_bytes(path, X) -> bytes:
+    """The reference writer: numpy's row-by-row np.savetxt."""
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, X.T, fmt="%.17g", delimiter=",")
+    return path.read_bytes()
+
+
+def _save_bytes(path, X) -> bytes:
+    save_dataset(Dataset(X=X, spec_name="w", seed=0), str(path))
+    return path.read_bytes()
+
+
+BLOCK = datagen._WRITE_BLOCK
+
+
+@pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_csv_writer_matches_savetxt_across_blocks(tmp_path, n, m) -> None:
+    # random bit patterns cover every finite, subnormal and NaN class;
+    # the special values are then planted at random cells
+    rng = np.random.default_rng([n, m])
+    X = rng.integers(0, 2 ** 64, size=(n, m), dtype=np.uint64).view(np.float64)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -2.5])
+    cells = rng.random((n, m)) < 0.2
+    X[cells] = rng.choice(special, size=int(cells.sum()))
+    assert _save_bytes(tmp_path / "a.csv", X) == _savetxt_bytes(tmp_path / "b.csv", X)
+
+
+ANY_DOUBLES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, np.nan, np.inf, -np.inf, 5e-324])
+
+
+@settings(max_examples=60)
+@given(arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 12)),
+              elements=ANY_DOUBLES),
+       st.integers(1, 5))
+def test_csv_writer_matches_savetxt_property(tmp_path_factory, X, block) -> None:
+    """With the block size shrunk, small matrices cross several block
+    boundaries and still give savetxt's bytes."""
+    d = tmp_path_factory.mktemp("w")
+    with mock.patch.object(datagen, "_WRITE_BLOCK", block):
+        written = _save_bytes(d / "a.csv", X)
+    assert written == _savetxt_bytes(d / "b.csv", X)
+
+
 def test_csv_layout_one_sample_per_line(tmp_path) -> None:
     ds = sample(builtin_spec(2), 10, 0)
     csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
@@ -239,6 +286,19 @@ def test_sidecar_centered_claim_is_ignored(tmp_path) -> None:
     hp, controls = Hyperparams(restarts=2, iterations=1), SolverControls(max_inner_steps=20)
     a = slcd(load_dataset(claimed), hp, controls)
     b = slcd(load_dataset(bare), hp, controls)
+    assert a.D_opt.tobytes() == b.D_opt.tobytes()
+
+
+def test_false_centered_flag_is_not_trusted() -> None:
+    # shifted data flagged as centred must be centred and solved as the
+    # same data without the flag
+    ds = sample(builtin_spec(2), 1000, 0)
+    flagged = Dataset(X=ds.X + 3.0, spec_name=ds.spec_name, seed=ds.seed, centered=True)
+    bare = Dataset(X=ds.X + 3.0, spec_name=ds.spec_name, seed=ds.seed)
+    assert center(flagged).X.tobytes() == center(bare).X.tobytes()
+    hp, controls = Hyperparams(restarts=2, iterations=1), SolverControls(max_inner_steps=20)
+    a = slcd(flagged, hp, controls)
+    b = slcd(bare, hp, controls)
     assert a.D_opt.tobytes() == b.D_opt.tobytes()
 
 
