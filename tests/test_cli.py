@@ -1,11 +1,14 @@
 """Command-line interface, exercised in process through main(argv)."""
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
 import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slcd import StructuralMatrix, builtin_spec, load_dataset, sample
+from slcd import cli
 from slcd.cli import main
+from slcd.evaluation import DEFAULT_SIGMA_GRID
 
 
 def run(*argv: str) -> int:
@@ -43,6 +48,30 @@ def test_no_subcommand_is_usage_error(capsys) -> None:
 
 def test_unknown_flag_is_usage_error(capsys) -> None:
     assert run("generate", "--dataset", "2", "--frobnicate") == 2
+
+
+_COMMON = {"-h", "--help", "--config", "--seed"}
+_SOLVE = _COMMON | {"--sigma", "--lambda", "--tau", "--eps1", "--eps2", "--iterations",
+                    "--restarts", "--theta"}
+
+
+def test_parser_surface_is_pinned() -> None:
+    """The option strings of every subcommand (and repro's positional),
+    so that no flag is added or dropped unnoticed."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {s for a in p._actions for s in a.option_strings or [a.dest]}
+               for name, p in sub.choices.items()}
+    assert surface == {
+        "generate": _COMMON | {"--dataset", "--spec", "--m", "--out"},
+        "discover": _SOLVE | {"--data", "--out"},
+        "evaluate": {"-h", "--help", "--config", "--result", "--data", "--dataset", "--spec",
+                     "--out", "--theta"},
+        "sweep": _SOLVE | {"--dataset", "--sigma-grid", "--lambda-grid", "--m", "--jobs",
+                           "--out"},
+        "repro": _SOLVE | {"which", "--out-dir", "--datasets", "--m", "--jobs", "--sigma-grid",
+                           "--lambda-grid"},
+    }
 
 
 # ---------------------------------------------------------------- generate
@@ -243,6 +272,67 @@ def test_config_precedence_flags_over_file(ds2_csv, tmp_path) -> None:
     assert hp["tau"] == 2            # default survives
 
 
+def _generated(key: str):
+    """generate on dataset 2, reading key back from the sidecar."""
+    def observe(tmp_path, capsys, *extra):
+        assert run("generate", "--dataset", "2", "--out", str(tmp_path / "d.csv"), *extra) == 0
+        return json.loads((tmp_path / "d.json").read_text())[key]
+    return observe
+
+
+def _evaluated_precision(tmp_path, capsys, *extra):
+    """evaluate's printed precision for dataset 2's true matrix plus two
+    spurious links, of 0.2 (x2 -> x3) and 0.4 (x2 -> x1): 5, 4 and 3
+    links are estimated at theta 0.15, 0.25 and 0.35."""
+    data = tmp_path / "d.csv"
+    assert run("generate", "--dataset", "2", "--m", "50", "--out", str(data)) == 0
+    D = builtin_spec(2).structural_matrix().entries.copy()
+    D[2, 1], D[0, 1] = 0.2, 0.4
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(StructuralMatrix(D).to_json()))
+    capsys.readouterr()
+    assert run("evaluate", "--result", str(result), "--data", str(data), "--dataset", "2",
+               *extra) == 0
+    [line] = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("precision")]
+    return line.split()[-1]
+
+
+def _swept_sigmas(tmp_path, capsys, *extra):
+    """The sigma values of a sweep's CSV rows."""
+    out = tmp_path / "grid.csv"
+    assert run("sweep", "--dataset", "2", "--lambda-grid", "5", "--m", "30", "--restarts", "1",
+               "--iterations", "1", "--out", str(out), *extra) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        return tuple(float(row["sigma"]) for row in csv.DictReader(fh))
+
+
+# key, flag, config value, observe, and what observe sees with the flag and
+# the config file (flag beats config), with the config file alone (config
+# beats default) and with neither (default)
+PRECEDENCE_CASES = [
+    pytest.param("m", ("--m", "30"), 40, _generated("m"), (30, 40, 1000), id="m"),
+    pytest.param("seed", ("--seed", "3"), 4, _generated("seed"), (3, 4, 0), id="seed"),
+    pytest.param("theta", ("--theta", "0.35"), 0.25, _evaluated_precision,
+                 ("0.6667", "0.75", "0.6"), id="theta"),
+    pytest.param("sigma_grid", ("--sigma-grid", "0.5"), "0.4,0.6", _swept_sigmas,
+                 ((0.5,), (0.4, 0.6), DEFAULT_SIGMA_GRID), id="sigma_grid-string"),
+    pytest.param("sigma_grid", ("--sigma-grid", "0.5"), [0.4, 0.6], _swept_sigmas,
+                 ((0.5,), (0.4, 0.6), DEFAULT_SIGMA_GRID), id="sigma_grid-list"),
+]
+
+
+@pytest.mark.parametrize("key, flag, config_value, observe, expected", PRECEDENCE_CASES)
+def test_config_precedence_per_setting(tmp_path, capsys, key, flag, config_value, observe,
+                                       expected) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: config_value}))
+    at_flag, at_config, at_default = expected
+    assert observe(tmp_path, capsys, *flag, "--config", str(config)) == at_flag
+    assert observe(tmp_path, capsys, "--config", str(config)) == at_config
+    assert observe(tmp_path, capsys) == at_default
+
+
 def test_config_controls_section(ds2_csv, tmp_path) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
@@ -409,6 +499,24 @@ def test_evaluate_missing_result_is_io_error(ds2_csv, tmp_path) -> None:
                "--data", ds2_csv, "--dataset", "2") == 3
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_evaluate_non_finite_data_is_numeric_abort(ds2_csv, tmp_path, capsys, cell) -> None:
+    # NaN metrics would make the metrics file invalid JSON, so nothing is written
+    lines = Path(ds2_csv).read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = cell
+    lines[5] = ",".join(row)
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(lines) + "\n")
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(builtin_spec(2).structural_matrix().to_json()))
+    out = tmp_path / "metrics.json"
+    assert run("evaluate", "--result", str(result), "--data", str(data), "--dataset", "2",
+               "--out", str(out)) == 4
+    assert "holds NaN or inf values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_writes_csv(tmp_path, capsys) -> None:
@@ -504,6 +612,30 @@ def test_repro_rejects_bad_dataset_list(tmp_path, capsys) -> None:
     assert run("repro", "estimates", "--datasets", "9",
                "--out-dir", str(tmp_path)) == 2
     assert "dataset ids must be in 1..5" in capsys.readouterr().err
+
+
+def test_repro_rejects_duplicate_dataset_ids(tmp_path, capsys) -> None:
+    assert run("repro", "estimates", "--datasets", "2,2", "--out-dir", str(tmp_path)) == 2
+    assert "dataset ids must be unique" in capsys.readouterr().err
+
+
+# (row, column, value) set in dataset 2's true matrix: a spurious 0.17
+# link lies within the deviation bound, a coefficient off by 0.5 keeps
+# every link
+@pytest.mark.parametrize("change, code", [((0, 0, 1.0), 0), ((2, 1, 0.17), 1), ((2, 0, 0.8), 1)],
+                         ids=["exact", "spurious-link", "coefficient-off"])
+@pytest.mark.parametrize("which", ["estimates", "comparison"])
+def test_repro_gate_needs_links_and_coefficients(tmp_path, monkeypatch, capsys, which, change,
+                                                 code) -> None:
+    D = builtin_spec(2).structural_matrix().entries.copy()
+    row, col, value = change
+    D[row, col] = value
+    monkeypatch.setattr(cli, "slcd", lambda data, hp, controls: SimpleNamespace(D_opt=D,
+                                                                               J_min=0.0))
+    assert run("repro", which, "--datasets", "2", "--m", "50",
+               "--out-dir", str(tmp_path)) == code
+    [rec] = json.loads((tmp_path / f"repro_{which}.json").read_text())["datasets"]
+    assert rec["recovered"] is (code == 0)
 
 
 def test_repro_rejects_unknown_mode(tmp_path) -> None:
