@@ -39,7 +39,7 @@ from .reference import (
     REFERENCE_COMPARISON,
     REFERENCE_ESTIMATES,
 )
-from .scm_core import ScmSpec, StructuralMatrix
+from .scm_core import ScmSpec, StructuralMatrix, true_edges
 from .solver import SolverAbort, SolverControls, slcd
 
 __all__ = ["main"]
@@ -71,8 +71,8 @@ _SCALARS = {
 _HYPER_KEYS = ("sigma", "lambda", "tau", "eps1", "eps2", "iterations", "restarts")
 
 # Keys a --config JSON file may set: the settings above, the two sweep
-# grids and "controls", an object with any SolverControls field
-# (max_inner_steps, seed).
+# grids and "controls", an object with the SolverControls fields other
+# than seed (max_inner_steps).
 _CONFIG_KEYS = frozenset({*_SCALARS, *_HYPER_KEYS, "sigma_grid", "lambda_grid", "controls"})
 
 
@@ -101,6 +101,14 @@ def _load_config(path: str | None) -> dict:
         raise _CliError(EXIT_USAGE, f"unknown config keys: {', '.join(unknown)}")
     if "controls" in obj and not isinstance(obj["controls"], dict):
         raise _CliError(EXIT_USAGE, "config key 'controls' must be an object")
+    # every value must be valid, also one the running command does not read
+    given = argparse.Namespace(**obj)
+    for key in _SCALARS.keys() & obj.keys():
+        _setting(given, key)
+    for key in {"sigma_grid", "lambda_grid"} & obj.keys():
+        _grid(given, key, None)
+    _build_hp(given)
+    _build_controls(given)
     return obj
 
 
@@ -134,12 +142,10 @@ def _build_hp(args) -> Hyperparams:
 
 
 def _build_controls(args) -> SolverControls:
-    ctl_json = SolverControls().to_json()
-    ctl_json.update(getattr(args, "controls", {}))
-    if hasattr(args, "seed"):
-        ctl_json["seed"] = args.seed
+    """The solver controls: the seed setting and the config "controls"
+    object, in which a seed key is a usage error."""
     try:
-        return SolverControls.from_json(ctl_json)
+        return SolverControls(seed=_setting(args, "seed"), **getattr(args, "controls", {}))
     except (TypeError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid solver controls: {exc}") from exc
 
@@ -209,7 +215,7 @@ def cmd_generate(args) -> int:
         csv_path, sidecar_path = save_dataset(ds, out)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write dataset: {exc}") from exc
-    links = len(spec.edge_pairs())
+    links = len(true_edges(spec.structural_matrix()))
     sidecar = _read_json(sidecar_path)
     sidecar["true_links"] = links
     sidecar["n"] = spec.n
@@ -298,13 +304,14 @@ def _grid(args, key: str, default) -> tuple[float, ...]:
     raw = getattr(args, key, default)
     if not isinstance(raw, str):
         try:
-            return tuple(float(v) for v in raw)
+            values = tuple(float(v) for v in raw)
         except (TypeError, ValueError) as exc:
             raise _CliError(EXIT_USAGE, f"config key '{key}' must be a list of numbers") from exc
-    try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"bad grid '{raw}': {exc}") from exc
+    else:
+        try:
+            values = tuple(float(part) for part in raw.split(",") if part.strip())
+        except ValueError as exc:
+            raise _CliError(EXIT_USAGE, f"bad grid '{raw}': {exc}") from exc
     if not values:
         raise _CliError(EXIT_USAGE, f"grid '{raw}' is empty")
     return values
@@ -468,6 +475,7 @@ def _repro_gated(args, out_dir: Path, which: str, title: str, notes: list[str],
         lines += section(ds_id, rec)
         records.append({k: v for k, v in rec.items() if k not in drop})
         status = "recovered" if rec["recovered"] else ("aborted" if rec["error"] else "missed")
+        status += "" if gated else " (not gated)"
         print(f"dataset {ds_id}: {status}" + ("" if rec["error"] else
                                               f", max deviation {rec['max_abs_deviation']:.4g}"))
     passed = all(rec["recovered"] or not rec["gated"] for rec in records)

@@ -46,10 +46,6 @@ class Uniform:
             raise ValueError(f"uniform requires a < b, got a={self.a}, b={self.b}")
 
     @property
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @property
     def variance(self) -> float:
         return (self.b - self.a) ** 2 / 12.0
 
@@ -175,10 +171,6 @@ class ScmSpec:
     def n(self) -> int:
         return len(self.variables)
 
-    @property
-    def independent_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.variables) if v.role == "independent")
-
     def structural_matrix(self) -> "StructuralMatrix":
         """Ground-truth D: diagonal 1 for independents, coefficients for dependents."""
         D = np.zeros((self.n, self.n))
@@ -200,15 +192,6 @@ class ScmSpec:
             else:
                 var[i] = sum(c * c * var[j] for j, c in v.terms)
         return var
-
-    def edge_pairs(self) -> "EdgeSet":
-        """Edges (parent, child) read directly from the dependency lists."""
-        return EdgeSet(
-            (j, i)
-            for i, v in enumerate(self.variables)
-            if v.role == "dependent"
-            for j, _ in v.terms
-        )
 
     def to_json(self) -> dict:
         return {"name": self.name, "variables": [v.to_json() for v in self.variables]}
@@ -275,9 +258,6 @@ class EdgeSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.pairs
 
 
 def _matrix_entries(D) -> np.ndarray:

@@ -8,8 +8,9 @@ the reconstruction and covariance residuals staying within their
 slacks), then keep only the tau largest-magnitude entries per row. The
 sparse candidate after each threshold step is scored with the penalized
 objective at the fixed REFERENCE_WEIGHT, evaluated on the same
-Gram-matrix core (objective._Workspace) as the solve, and the
-best-scoring candidate across all restarts wins.
+Gram-matrix core (objective._Workspace) as the solve. Each restart keeps
+its best candidate, and the best of those wins, the lowest restart
+index among equal scores.
 
 The relaxed solve is a dense SQP on H, a damped-BFGS approximation of
 the inverse Hessian of the Lagrangian. Each iterate minimizes the
@@ -29,7 +30,10 @@ ladder: in each round every restart still searching evaluates its next
 1, then 2, then 4, ... trial steps in one stacked call and takes the
 first that passes, the same step as one-at-a-time backtracking in about
 log2 as many rounds. Every row is computed on its own, so a restart's
-iterates are bit-identical whatever the stack it runs in.
+iterates are bit-identical whatever the stack it runs in. The rounds of
+slcd() work on the same stack: after each solve, one row_threshold call
+thresholds all restarts and one evaluation scores them, and a restart's
+wall_ms is its share of the run's time by SQP iterations.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -106,8 +110,9 @@ class SolverControls:
 class RestartRecord:
     """Diagnostics for one restart: its best candidate's score and
     residuals, the running minimum after it, and the work spent.
-    Restarts are solved in one stack, so wall_ms is the restart's share
-    of the run's time as slcd() apportions it."""
+    Restarts are solved in one stack, so wall_ms is the run's wall_ms
+    times the restart's share of all SQP iterations (an even share when
+    no restart iterated); the restarts' wall_ms add up to the run's."""
 
     index: int
     seed: int
@@ -376,25 +381,31 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
 
 
 def row_threshold(D, tau: int) -> np.ndarray:
-    """Keep the tau largest-magnitude entries of each row, zeroing the
-    rest. Ties keep the lowest column index (stable sort)."""
+    """Keep the tau largest-magnitude entries of each row of a matrix, or
+    of every matrix in a (..., n, n) stack, zeroing the rest. Ties keep
+    the lowest column index (stable sort)."""
     D = np.asarray(D, dtype=float)
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
+    keep = np.argsort(-np.abs(D), axis=-1, kind="stable")[..., :tau]
     out = np.zeros_like(D)
-    for i in range(D.shape[0]):
-        keep = np.argsort(-np.abs(D[i]), kind="stable")[:tau]
-        out[i, keep] = D[i, keep]
+    np.put_along_axis(out, keep, np.take_along_axis(D, keep, axis=-1), axis=-1)
     return out
 
 
-def _data_abort(restarts: int, seed: int, why: str) -> SolverAbort:
-    """The abort of a run whose data leave nothing to solve: every
-    restart recorded as aborted before its first step."""
-    records = [RestartRecord(index=r, seed=seed, objective=math.nan, running_min=math.inf,
-                             recon_residual=math.nan, cov_residual=math.nan, iterations=0,
-                             wall_ms=0.0, aborted=True, message=why) for r in range(restarts)]
-    return SolverAbort(f"every restart aborted: {why}", records)
+def _records(seed: int, best_j, best_res, iters, wall, why: str) -> list[RestartRecord]:
+    """The restart log from per-restart arrays: the best score best_j,
+    its (recon, cov) residuals best_res, the SQP iterations and the wall
+    time in ms, with the running minimum of best_j. A restart whose
+    best_j is inf produced no finite candidate and is recorded as
+    aborted with message why."""
+    running = np.minimum.accumulate(best_j).tolist()
+    return [RestartRecord(index=r, seed=seed, objective=j if j < math.inf else math.nan,
+                          running_min=run, recon_residual=res[0], cov_residual=res[1],
+                          iterations=it, wall_ms=w, aborted=j == math.inf,
+                          message=why if j == math.inf else "")
+            for r, (j, run, res, it, w) in enumerate(zip(
+                best_j.tolist(), running, best_res.tolist(), iters.tolist(), wall.tolist()))]
 
 
 def slcd(data, hp: Hyperparams = Hyperparams(),
@@ -408,94 +419,62 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     and controls.seed: restart r draws its start from
     SeedSequence(entropy=controls.seed, spawn_key=(r,)).
 
-    In each round one stacked solve moves all restarts, then each one is
-    thresholded and scored. A restart's wall_ms is its own draw and
-    scoring time plus, of each round's solve, the share of the SQP
-    iterations it ran in that round (an even share when no restart
-    iterated), so the restarts' wall_ms add up to the result's wall_ms.
+    In each round one stacked solve moves all restarts, one stacked call
+    thresholds them and one more scores them. A restart's wall_ms is the
+    run's wall_ms times its share of all SQP iterations (an even share
+    when no restart iterated), so the restarts' wall_ms add up to the
+    result's wall_ms.
     """
     ds = _as_dataset(data)
     if ds.m < 2:
         raise ValueError("discovery needs at least 2 samples")
+    n, m = ds.X.shape
+    R = hp.restarts
+    # per restart: best score (inf until a finite candidate), its matrix
+    # and residuals, and the SQP iterations run
+    best_j, best_d = np.full(R, math.inf), np.zeros((R, n, n))
+    best_res, iters = np.full((R, 2), math.nan), np.zeros(R, dtype=int)
     # An inf cell would turn to NaN in centring; checked first, so that
     # no arithmetic runs on non-finite data.
-    if not np.isfinite(ds.X).all():
-        raise _data_abort(hp.restarts, controls.seed, "the data hold a NaN or infinite value")
-    X = center(ds).X
-    n, m = X.shape
-    G = X @ X.T
-    Sigma = G / m
-    sd = np.diag(Sigma).copy()
-    eps = resolve_epsilons(hp, X, Sigma)
-    if not np.isfinite(eps).all():
-        raise _data_abort(hp.restarts, controls.seed, "the data's second moments overflow")
-    del X  # from here on the data enter only through G and Sigma
+    why = "" if np.isfinite(ds.X).all() else "the data hold a NaN or infinite value"
+    if not why:
+        X = center(ds).X
+        G = X @ X.T
+        Sigma = G / m
+        eps = resolve_epsilons(hp, X, Sigma)
+        if not np.isfinite(eps).all():
+            why = "the data's second moments overflow"
+        del X  # from here on the data enter only through G and Sigma
+    if why:
+        records = _records(controls.seed, best_j, best_res, iters, np.zeros(R), why)
+        raise SolverAbort(f"every restart aborted: {why}", records)
     hp_res = replace(hp, eps1=eps[0], eps2=eps[1])
     tau_eff = min(hp_res.tau, n)
-    ws = _Workspace(G, Sigma, sd, hp_res)
+    ws = _Workspace(G, Sigma, np.diag(Sigma).copy(), hp_res)
 
-    t_start = t = time.perf_counter()
-    R = hp_res.restarts
-    wall = [0.0] * R  # seconds charged to each restart
-    starts = []
-    for r in range(R):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=controls.seed, spawn_key=(r,)))
-        starts.append(rng.uniform(-1.0, 1.0, (n, n)))
-        now = time.perf_counter()
-        wall[r] += now - t
-        t = now
-    D = np.array(starts)
-    iters = [0] * R
-    local_j = [math.inf] * R
-    local_d: list[np.ndarray | None] = [None] * R
-    local_res = [(math.nan, math.nan)] * R
+    t_start = time.perf_counter()
+    seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
+    D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
     for _ in range(hp_res.iterations):
         D, its = _sqp(ws, D, controls)
-        now = time.perf_counter()
-        total = sum(its)
-        for r in range(R):
-            wall[r] += (now - t) * (its[r] / total if total else 1.0 / R)
-        t = now
-        for r in range(R):
-            iters[r] += its[r]
-            D[r] = row_threshold(D[r], tau_eff)
-            f, c, _ = ws.evaluate(D[r].reshape(1, -1), jac=False)
-            # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
-            # residual in the score, where Python's max(0.0, nan) is 0.0
-            h = np.maximum(c[0], 0.0)
-            j = float(f[0] + REFERENCE_WEIGHT * h[0] * h[0] + REFERENCE_WEIGHT * h[1] * h[1])
-            if math.isfinite(j) and j < local_j[r]:
-                local_j[r] = j
-                local_d[r] = D[r].copy()
-                local_res[r] = tuple((c[0] + ws.eps).tolist())
-            now = time.perf_counter()
-            wall[r] += now - t
-            t = now
-    total_wall = (t - t_start) * 1000.0
+        iters += its
+        D = row_threshold(D, tau_eff)
+        f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
+        # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
+        # residual in the score, where Python's max(0.0, nan) is 0.0
+        h = np.maximum(c, 0.0)
+        j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
+        better = np.isfinite(j) & (j < best_j)
+        best_j[better], best_d[better], best_res[better] = j[better], D[better], c[better] + ws.eps
+    wall_ms = (time.perf_counter() - t_start) * 1000.0
 
-    best_j = math.inf
-    best_d: np.ndarray | None = None
-    records: list[RestartRecord] = []
-    for r in range(R):
-        if local_d[r] is None:
-            records.append(RestartRecord(
-                index=r, seed=controls.seed, objective=math.nan,
-                running_min=best_j, recon_residual=math.nan,
-                cov_residual=math.nan, iterations=iters[r], wall_ms=wall[r] * 1000.0,
-                aborted=True, message="no finite candidate produced",
-            ))
-            continue
-        if local_j[r] < best_j:
-            best_j = local_j[r]
-            best_d = local_d[r]
-        records.append(RestartRecord(
-            index=r, seed=controls.seed, objective=local_j[r],
-            running_min=best_j, recon_residual=local_res[r][0],
-            cov_residual=local_res[r][1], iterations=iters[r], wall_ms=wall[r] * 1000.0,
-        ))
-    if best_d is None:
+    total = iters.sum()
+    wall = wall_ms * iters / total if total else np.full(R, wall_ms / R)
+    records = _records(controls.seed, best_j, best_res, iters, wall, "no finite candidate produced")
+    win = int(np.argmin(best_j))  # the first of equal scores
+    if best_j[win] == math.inf:
         raise SolverAbort("every restart aborted without a finite candidate", records)
     return DiscoveryResult(
-        D_opt=best_d, J_min=best_j, restarts=records,
-        hp=hp_res, controls=controls, wall_ms=total_wall,
+        D_opt=best_d[win].copy(), J_min=float(best_j[win]), restarts=records,
+        hp=hp_res, controls=controls, wall_ms=wall_ms,
     )

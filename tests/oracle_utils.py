@@ -4,6 +4,8 @@ The support-enumeration oracle minimizes the exact penalized objective
 over every row-sparse support pattern with a general-purpose
 derivative-free optimizer, giving a solver-independent answer on tiny
 instances. Keep n at 2 or 3: the support count grows combinatorially.
+The row-thresholding reference works one row at a time, as the stacked
+solver.row_threshold must agree with it bit for bit.
 """
 from __future__ import annotations
 
@@ -97,3 +99,15 @@ def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams) -> np.ndarray:
     if not np.isfinite(j_out) or j_out > j_in:
         D = D_init.copy()
     return D
+
+
+def row_threshold_loop(D, tau: int) -> np.ndarray:
+    """The reference for solver.row_threshold on one matrix: each row
+    keeps its tau largest-magnitude entries, the lowest column index
+    first among equal magnitudes (stable sort), one row at a time."""
+    D = np.asarray(D, dtype=float)
+    out = np.zeros_like(D)
+    for i in range(D.shape[0]):
+        keep = np.argsort(-np.abs(D[i]), kind="stable")[:tau]
+        out[i, keep] = D[i, keep]
+    return out

@@ -336,13 +336,55 @@ def test_config_precedence_per_setting(tmp_path, capsys, key, flag, config_value
 def test_config_controls_section(ds2_csv, tmp_path) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
-        {"restarts": 2, "iterations": 1,
-         "controls": {"max_inner_steps": 7, "seed": 3}}))
+        {"restarts": 2, "iterations": 1, "seed": 3,
+         "controls": {"max_inner_steps": 7}}))
     out = tmp_path / "result.json"
     assert run("discover", "--data", ds2_csv, "--config", str(config),
                "--out", str(out)) == 0
     ctl = json.loads(out.read_text())["controls"]
     assert ctl == {"max_inner_steps": 7, "seed": 3}
+
+
+def test_config_seed_only_at_top_level(ds2_csv, tmp_path, capsys) -> None:
+    # the seed is one setting, so the "controls" object cannot hold a second one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"controls": {"seed": 3}}))
+    out = tmp_path / "result.json"
+    assert run("discover", "--data", ds2_csv, "--config", str(config), "--out", str(out)) == 2
+    assert "invalid solver controls" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, value", [
+    (("generate", "--dataset", "2"), {"jobs": -1}),
+    (("generate", "--dataset", "2"), {"sigma": "x"}),
+    (("generate", "--dataset", "2"), {"theta": -3}),
+    (("generate", "--dataset", "2"), {"controls": {"max_inner_steps": 0}}),
+    (("discover", "--data", "absent.csv"), {"m": "x"}),
+    (("discover", "--data", "absent.csv"), {"sigma_grid": 0}),
+    (("discover", "--data", "absent.csv"), {"lambda_grid": []}),
+    (("discover", "--data", "absent.csv"), {"dataset": None}),
+    (("repro", "estimates", "--datasets", "1"), {"dataset": -1}),
+])
+def test_config_values_checked_when_not_read(tmp_path, capsys, command, value) -> None:
+    """A config value must be valid even where the command ignores its
+    key; discover names an absent file, so only the config can fail."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(value))
+    out = ("--out-dir",) if command[0] == "repro" else ("--out",)
+    assert run(*command, "--config", str(config), *out, str(tmp_path / "out")) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_valid_unread_keys_are_ignored(tmp_path) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 3, "theta": 0.2, "jobs": 2, "sigma_grid": [0.3],
+                                  "controls": {"max_inner_steps": 9}}))
+    data = tmp_path / "d.csv"
+    assert run("generate", "--dataset", "2", "--m", "50", "--config", str(config),
+               "--out", str(data)) == 0
+    assert data.exists()
 
 
 def test_config_unknown_key_rejected(ds2_csv, tmp_path, capsys) -> None:
@@ -562,6 +604,10 @@ def test_repro_estimates_ungated_dataset(tmp_path, capsys) -> None:
     out_dir = tmp_path / "repro"
     assert run("repro", "estimates", "--datasets", "1", "--m", "300",
                "--restarts", "4", "--out-dir", str(out_dir)) == 0
+    # the stdout verdict marks the dataset that no gate checks
+    line, last = capsys.readouterr().out.splitlines()
+    assert line.startswith("dataset 1: ") and "(not gated)" in line
+    assert last.endswith("all gates passed")
     report = json.loads((out_dir / "repro_estimates.json").read_text())
     assert report["which"] == "estimates"
     assert report["passed"] is True
@@ -579,6 +625,7 @@ def test_repro_comparison_gated_dataset(tmp_path, capsys) -> None:
     out_dir = tmp_path / "repro"
     assert run("repro", "comparison", "--datasets", "2", "--restarts", "8",
                "--out-dir", str(out_dir)) == 0
+    assert capsys.readouterr().out.startswith("dataset 2: recovered, max deviation")
     report = json.loads((out_dir / "repro_comparison.json").read_text())
     assert report["passed"] is True
     [rec] = report["datasets"]

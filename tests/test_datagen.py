@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -48,13 +49,13 @@ def test_builtin_dimensions_and_independent_counts() -> None:
     for ds_id in BUILTIN_IDS:
         spec = builtin_spec(ds_id)
         assert spec.n == dims[ds_id]
-        assert len(spec.independent_indices) == independents[ds_id]
+        assert sum(v.role == "independent" for v in spec.variables) == independents[ds_id]
 
 
 def test_builtin_spec_4_definition() -> None:
     spec = builtin_spec(4)
     assert spec.n == 6
-    assert spec.independent_indices == (0, 1, 2)
+    assert [i for i, v in enumerate(spec.variables) if v.role == "independent"] == [0, 1, 2]
     assert isinstance(spec.variables[2].dist, Gaussian)
     assert spec.variables[2].dist.variance == 4.0
     assert spec.variables[3].terms == ((0, 1.0), (2, 0.3))
@@ -260,7 +261,7 @@ def test_csv_writer_matches_savetxt_property(tmp_path_factory, X, block) -> None
 def test_csv_layout_one_sample_per_line(tmp_path) -> None:
     ds = sample(builtin_spec(2), 10, 0)
     csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
-    lines = [l for l in open(csv_path, encoding="utf-8").read().splitlines() if l]
+    lines = [l for l in Path(csv_path).read_text(encoding="utf-8").splitlines() if l]
     assert len(lines) == 10
     assert len(lines[0].split(",")) == 4
 

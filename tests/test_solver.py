@@ -33,7 +33,7 @@ from slcd import solver
 from slcd.objective import _Workspace
 from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
 from conftest import PAIR_SUM_ALIAS
-from oracle_utils import objective_of, solve_relaxed
+from oracle_utils import objective_of, row_threshold_loop, solve_relaxed
 
 
 # ---------------------------------------------------------------- controls
@@ -82,6 +82,22 @@ def test_row_threshold_tie_keeps_lowest_columns() -> None:
 def test_row_threshold_validates_tau() -> None:
     with pytest.raises(ValueError):
         row_threshold(np.eye(3), 0)
+
+
+@given(st.data())
+def test_row_threshold_stack_matches_row_loop(data) -> None:
+    """A (k, n, n) stack is thresholded as each matrix alone by the
+    per-row reference loop, bit for bit, on rows full of equal
+    magnitudes, signed zeros and sign flips."""
+    k, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    tau = data.draw(st.integers(1, n + 1))
+    mags = data.draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+    cells = data.draw(st.lists(st.tuples(st.sampled_from([0.0, *mags]), st.booleans()),
+                               min_size=k * n * n, max_size=k * n * n))
+    D = np.array([-v if flip else v for v, flip in cells]).reshape(k, n, n)
+    want = np.array([row_threshold_loop(M, tau) for M in D])
+    assert row_threshold(D, tau).tobytes() == want.tobytes()
+    assert row_threshold(D[0], tau).tobytes() == want[0].tobytes()
 
 
 def test_row_threshold_rowwise_independent() -> None:
@@ -243,6 +259,9 @@ def test_slcd_reports_reference_objective(ds2_data, fast_hp, monkeypatch) -> Non
 
     monkeypatch.setattr(solver, "row_threshold", recording_threshold)
     result = slcd(ds2_data, fast_hp)
+    # one call per round, on the (R, n, n) stack of all restarts
+    R = fast_hp.restarts
+    assert [c.shape for c in candidates] == [(R, 4, 4)] * fast_hp.iterations
     ds = center(ds2_data)
     Sigma, sd = sample_covariance(ds)
     hp = result.hp
@@ -251,10 +270,9 @@ def test_slcd_reports_reference_objective(ds2_data, fast_hp, monkeypatch) -> Non
         return objective(D, ds.X, Sigma, sd, hp, REFERENCE_WEIGHT, REFERENCE_WEIGHT).total
 
     assert result.J_min == pytest.approx(reference(result.D_opt), rel=1e-9)
-    R = fast_hp.restarts
     for r, rec in enumerate(result.restarts):
         # restart r's candidates, one per round; its record holds the best
-        best = min(candidates[r::R], key=lambda D: abs(reference(D) - rec.objective))
+        best = min([c[r] for c in candidates], key=lambda D: abs(reference(D) - rec.objective))
         assert rec.objective == pytest.approx(reference(best), rel=1e-9)
         recon, cov = residuals(best, ds.X, Sigma, sd)
         assert rec.recon_residual == pytest.approx(recon, rel=1e-9)
@@ -480,18 +498,19 @@ def test_slcd_restart_records_independent_of_stack_size(ds2_data, monkeypatch) -
 
     def recording_threshold(D, tau):
         out = row_threshold(D, tau)
-        calls.append(out.tobytes())
+        calls.append(out)
         return out
 
     monkeypatch.setattr(solver, "row_threshold", recording_threshold)
     small = slcd(ds2_data, Hyperparams(restarts=3))
     small_calls, calls[:] = list(calls), []
     large = slcd(ds2_data, Hyperparams(restarts=6))
-    # one call per restart per round, restarts in index order within a round
+    # one call per round on the stack of all restarts, in index order
     rounds = Hyperparams().iterations
-    assert len(small_calls) == 3 * rounds and len(calls) == 6 * rounds
-    for r in range(rounds):
-        assert small_calls[3 * r:3 * r + 3] == calls[6 * r:6 * r + 3]
+    assert len(small_calls) == rounds and len(calls) == rounds
+    for a, b in zip(small_calls, calls):
+        assert a.shape == (3, 4, 4) and b.shape == (6, 4, 4)
+        assert a.tobytes() == b[:3].tobytes()
     for a, b in zip(small.restarts, large.restarts[:3]):
         assert (a.objective, a.iterations, a.recon_residual) == (
             b.objective, b.iterations, b.recon_residual)
