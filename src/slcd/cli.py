@@ -6,10 +6,12 @@ estimate against a known model), sweep (grid-run discovery over
 hyperparameters), and repro (re-run the built-in benchmarks and
 compare against the stored reference results).
 
-main() resolves every setting once: a command-line flag wins, a key of
-the --config JSON file fills a flag left off, and a setting given by
-neither takes its default. Exit codes: 0 success, 1 tolerance failure,
-2 usage error, 3 I/O error, 4 numeric abort.
+main() resolves every setting once, before the command runs: a
+command-line flag wins, a key of the --config JSON file fills a flag
+left off, and a setting given by neither takes its default. Every value
+given is checked, also one the command does not read, and a message
+that rejects one names its flag or config key. Exit codes: 0 success,
+1 tolerance failure, 2 usage error, 3 I/O error, 4 numeric abort.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import math
 import numbers
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,23 +61,6 @@ EXIT_NUMERIC = 4
 # any misplaced coefficient (smallest true value 0.3).
 REPRO_MAX_DEVIATION = 0.2
 
-# The scalar settings: kind, lower bound and default (None: no default).
-# An int must be at least its bound, a float finite and above it.
-_SCALARS = {
-    "m": (int, 2, 1000),
-    "seed": (int, 0, 0),
-    "theta": (float, 0, DEFAULT_THETA),
-    "jobs": (int, 1, 1),
-    "dataset": (int, 0, None),
-}
-
-_HYPER_KEYS = ("sigma", "lambda", "tau", "eps1", "eps2", "iterations", "restarts")
-
-# Keys a --config JSON file may set: the settings above, the two sweep
-# grids and "controls", an object with the SolverControls fields other
-# than seed (max_inner_steps).
-_CONFIG_KEYS = frozenset({*_SCALARS, *_HYPER_KEYS, "sigma_grid", "lambda_grid", "controls"})
-
 
 class _CliError(Exception):
     """Carries an exit code and a message to the top-level handler."""
@@ -85,6 +71,8 @@ class _CliError(Exception):
 
 
 def _load_config(path: str | None) -> dict:
+    """The --config file's object, checked for its shape only: known keys
+    and a "controls" object. _resolve() checks the values."""
     if path is None:
         return {}
     try:
@@ -101,58 +89,110 @@ def _load_config(path: str | None) -> dict:
         raise _CliError(EXIT_USAGE, f"unknown config keys: {', '.join(unknown)}")
     if "controls" in obj and not isinstance(obj["controls"], dict):
         raise _CliError(EXIT_USAGE, "config key 'controls' must be an object")
-    # every value must be valid, also one the running command does not read
-    given = argparse.Namespace(**obj)
-    for key in _SCALARS.keys() & obj.keys():
-        _setting(given, key)
-    for key in {"sigma_grid", "lambda_grid"} & obj.keys():
-        _grid(given, key, None)
-    _build_hp(given)
-    _build_controls(given)
     return obj
 
 
-def _setting(args, key: str):
-    """The scalar setting key from args, or its default if args lacks
-    it. A value of the wrong kind or range, such as a string, a bool, a
-    list or a config null, is a usage error."""
-    kind, low, default = _SCALARS[key]
-    if not hasattr(args, key):
-        return default
-    value = getattr(args, key)
+# Each parser below takes one raw value, from a flag or a config key, and
+# the name of its source for the message that rejects it.
+
+def _scalar(kind: type, low: int, value, where: str):
+    """value as a scalar setting: an int of at least low, or a finite
+    float above it. A value of the wrong kind or range, such as a string,
+    a bool, a list or a config null, is a usage error."""
     if kind is int:
         ok = isinstance(value, numbers.Integral) and value >= low
     else:
         ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > low
     if isinstance(value, bool) or not ok:
         what = f"an integer of at least {low}" if kind is int else f"a finite number above {low}"
-        raise _CliError(EXIT_USAGE, f"--{key} must be {what}, got {value!r}")
+        raise _CliError(EXIT_USAGE, f"{where} must be {what}, got {value!r}")
     return kind(value)
 
 
-def _build_hp(args) -> Hyperparams:
-    hp_json = Hyperparams().to_json()
-    for key in _HYPER_KEYS:
-        if hasattr(args, key):
-            hp_json[key] = getattr(args, key)
+def _hyper(key: str, value, where: str):
+    """value, once Hyperparams accepts it as the hyperparameter key."""
     try:
-        return Hyperparams.from_json(hp_json)
+        Hyperparams.from_json({key: value})
     except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"invalid hyperparameters: {exc}") from exc
+        raise _CliError(EXIT_USAGE, f"{where}: invalid hyperparameters: {exc}") from exc
+    return value
 
 
-def _build_controls(args) -> SolverControls:
-    """The solver controls: the seed setting and the config "controls"
-    object, in which a seed key is a usage error."""
+def _grid(raw, where: str) -> tuple[float, ...]:
+    """A sweep grid: a comma-separated string (flag or config) or a
+    config list of numbers."""
+    parts = [part for part in raw.split(",") if part.strip()] if isinstance(raw, str) else raw
     try:
-        return SolverControls(seed=_setting(args, "seed"), **getattr(args, "controls", {}))
-    except (TypeError, ValueError) as exc:
-        raise _CliError(EXIT_USAGE, f"invalid solver controls: {exc}") from exc
+        values = tuple(float(v) for v in parts)
+    except (TypeError, ValueError):
+        values = ()
+    if not values:
+        raise _CliError(EXIT_USAGE, f"{where} must be a non-empty list of numbers, got {raw!r}")
+    return values
+
+
+def _dataset_ids(text: str, where: str) -> tuple[int, ...]:
+    """A comma-separated list of unique built-in dataset ids."""
+    try:
+        ids = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        ids = ()
+    if not ids or any(i not in BUILTIN_IDS for i in ids):
+        raise _CliError(EXIT_USAGE, f"{where}: dataset ids must be in "
+                                    f"{min(BUILTIN_IDS)}..{max(BUILTIN_IDS)}, got '{text}'")
+    if len(set(ids)) != len(ids):
+        raise _CliError(EXIT_USAGE, f"{where}: dataset ids must be unique, got '{text}'")
+    return ids
+
+
+# Every setting: key -> (parser, default; None: no default). The key
+# names the flag (--key, with - for _), the config key (all but datasets)
+# and the attribute of args that _resolve() sets.
+_SETTINGS = {
+    "m": (partial(_scalar, int, 2), 1000),
+    "seed": (partial(_scalar, int, 0), 0),
+    "theta": (partial(_scalar, float, 0), DEFAULT_THETA),
+    "jobs": (partial(_scalar, int, 1), 1),
+    "dataset": (partial(_scalar, int, 0), None),
+    "sigma_grid": (_grid, DEFAULT_SIGMA_GRID),
+    "lambda_grid": (_grid, DEFAULT_LAMBDA_GRID),
+    "datasets": (_dataset_ids, BUILTIN_IDS),
+    **{key: (partial(_hyper, key), default) for key, default in Hyperparams().to_json().items()},
+}
+_HYPER_KEYS = tuple(Hyperparams().to_json())
+
+# Keys a --config JSON file may set: the settings but datasets, and
+# "controls", an object with the SolverControls fields other than seed
+# (max_inner_steps).
+_CONFIG_KEYS = _SETTINGS.keys() - {"datasets"} | {"controls"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _resolve(args, config: dict) -> None:
+    """Check every config value under its key and every flag given under
+    its flag name, also those the command does not read, then set on args
+    one typed value per setting: the flag, else the config value, else
+    the default. The hyperparameters become args.hp, the seed and the
+    config "controls" object args.controls."""
+    values = {key: default for key, (_, default) in _SETTINGS.items()}
+    for source, name in ((config, lambda key: f"config key '{key}'"), (vars(args), _flag)):
+        values.update({key: parse(source[key], name(key))
+                       for key, (parse, _) in _SETTINGS.items() if key in source})
+        try:  # the config's controls with its seed, then with the flag's
+            controls = SolverControls(seed=values["seed"], **config.get("controls", {}))
+        except (TypeError, ValueError) as exc:
+            raise _CliError(EXIT_USAGE,
+                            f"config key 'controls': invalid solver controls: {exc}") from exc
+    vars(args).update(values)
+    args.hp = Hyperparams.from_json({key: values[key] for key in _HYPER_KEYS})
+    args.controls = controls
 
 
 def _resolve_spec(args) -> ScmSpec:
-    dataset = _setting(args, "dataset")
-    spec_path = getattr(args, "spec", None)
+    dataset, spec_path = args.dataset, getattr(args, "spec", None)
     if dataset is not None and spec_path is not None:
         raise _CliError(EXIT_USAGE, "give either --dataset or --spec, not both")
     if dataset is not None:
@@ -208,8 +248,7 @@ def _read_dataset(path) -> Dataset:
 
 def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
-    m, seed = _setting(args, "m"), _setting(args, "seed")
-    ds = sample(spec, m, seed)
+    ds = sample(spec, args.m, args.seed)
     out = getattr(args, "out", f"{spec.name}.csv")
     try:
         csv_path, sidecar_path = save_dataset(ds, out)
@@ -220,7 +259,7 @@ def cmd_generate(args) -> int:
     sidecar["true_links"] = links
     sidecar["n"] = spec.n
     _write_json(sidecar_path, sidecar)
-    print(f"wrote {csv_path} ({m} samples, {spec.n} variables) and {sidecar_path}")
+    print(f"wrote {csv_path} ({args.m} samples, {spec.n} variables) and {sidecar_path}")
     print(f"true links: {links}")
     return EXIT_OK
 
@@ -228,11 +267,10 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------- discover
 
 def cmd_discover(args) -> int:
-    hp, controls, theta = _build_hp(args), _build_controls(args), _setting(args, "theta")
     ds = _read_dataset(args.data)
     out = args.out if hasattr(args, "out") else str(Path(args.data).with_suffix(".result.json"))
     try:
-        result = slcd(ds, hp, controls)
+        result = slcd(ds, args.hp, args.controls)
     except SolverAbort as exc:
         diag = {
             "format_version": FORMAT_VERSION,
@@ -243,10 +281,10 @@ def cmd_discover(args) -> int:
         print(f"solver aborted: {exc} (diagnostics in {out})", file=sys.stderr)
         return EXIT_NUMERIC
     _write_json(out, result.to_json())
-    edges = sorted(extract_edges(result.D_opt, theta))
+    edges = sorted(extract_edges(result.D_opt, args.theta))
     print(f"wrote {out}")
     print(f"objective {result.J_min:.6g} in {result.wall_ms:.0f} ms; "
-          f"{len(edges)} links at theta={theta:g}")
+          f"{len(edges)} links at theta={args.theta:g}")
     for parent, child in edges:
         print(f"  x{parent + 1} -> x{child + 1}")
     return EXIT_OK
@@ -266,7 +304,6 @@ def _load_estimate(path) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
-    theta = _setting(args, "theta")
     spec = _resolve_spec(args)
     D_hat = _load_estimate(args.result)
     ds = _read_dataset(args.data)
@@ -275,7 +312,7 @@ def cmd_evaluate(args) -> int:
         raise _CliError(EXIT_NUMERIC, f"{args.data} holds NaN or inf values")
     D_true = spec.structural_matrix()
     try:
-        bundle = metric_bundle(D_hat, ds, D_true, theta)
+        bundle = metric_bundle(D_hat, ds, D_true, args.theta)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"estimate does not match the model: {exc}") from exc
     rows = [
@@ -298,42 +335,15 @@ def cmd_evaluate(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _grid(args, key: str, default) -> tuple[float, ...]:
-    """The grid key from args: a comma-separated string (flag or config)
-    or a config list of numbers, or default if args lacks it."""
-    raw = getattr(args, key, default)
-    if not isinstance(raw, str):
-        try:
-            values = tuple(float(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise _CliError(EXIT_USAGE, f"config key '{key}' must be a list of numbers") from exc
-    else:
-        try:
-            values = tuple(float(part) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, f"bad grid '{raw}': {exc}") from exc
-    if not values:
-        raise _CliError(EXIT_USAGE, f"grid '{raw}' is empty")
-    return values
-
-
-def _sweep_settings(args) -> dict:
-    """The keywords of sweep(), as sweep and repro figures share them."""
-    hp, controls = _build_hp(args), _build_controls(args)
-    return dict(
-        hp=hp, controls=controls, data_seed=controls.seed, theta=_setting(args, "theta"),
-        m=_setting(args, "m"), jobs=_setting(args, "jobs"),
-        sigma_grid=_grid(args, "sigma_grid", DEFAULT_SIGMA_GRID),
-        lambda_grid=_grid(args, "lambda_grid", DEFAULT_LAMBDA_GRID))
-
-
-def _run_sweep(dataset: int, out, settings: dict) -> tuple[int, int, int]:
-    """sweep(dataset, **settings) written to the CSV file out. Returns the
-    counts of cells, of solved cells and of cells recovering every link.
-    A grid that sweep() rejects is a usage error, an unwritable out an
-    I/O error."""
+def _run_sweep(dataset: int, out, args) -> tuple[int, int, int]:
+    """sweep() of dataset at the settings of args, written to the CSV
+    file out. Returns the counts of cells, of solved cells and of cells
+    recovering every link. A grid that sweep() rejects is a usage error,
+    an unwritable out an I/O error."""
     try:
-        result = sweep(dataset, **settings)
+        result = sweep(dataset, hp=args.hp, controls=args.controls, data_seed=args.seed,
+                       theta=args.theta, m=args.m, jobs=args.jobs,
+                       sigma_grid=args.sigma_grid, lambda_grid=args.lambda_grid)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     try:
@@ -345,12 +355,11 @@ def _run_sweep(dataset: int, out, settings: dict) -> tuple[int, int, int]:
 
 
 def cmd_sweep(args) -> int:
-    settings = _sweep_settings(args)
-    dataset = _setting(args, "dataset")
+    dataset = args.dataset
     if dataset is None:
         raise _CliError(EXIT_USAGE, "sweep requires --dataset ID")
     out = getattr(args, "out", f"sweep_dataset{dataset}.csv")
-    cells, solved, full = _run_sweep(dataset, out, settings)
+    cells, solved, full = _run_sweep(dataset, out, args)
     print(f"wrote {out}: {cells} cells, {solved} solved, "
           f"{full} with every link recovered")
     if not solved:
@@ -370,39 +379,22 @@ def _matrix_markdown(a: np.ndarray) -> str:
     return f"{head}\n{sep}\n{body}"
 
 
-def _dataset_ids(args) -> tuple[int, ...]:
-    """The --datasets list, by default every built-in dataset."""
-    if not hasattr(args, "datasets"):
-        return BUILTIN_IDS
-    text = args.datasets
-    try:
-        ids = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"bad dataset list '{text}'") from exc
-    if not ids or any(i not in BUILTIN_IDS for i in ids):
-        raise _CliError(EXIT_USAGE, f"dataset ids must be in "
-                                    f"{min(BUILTIN_IDS)}..{max(BUILTIN_IDS)}, got '{text}'")
-    if len(set(ids)) != len(ids):
-        raise _CliError(EXIT_USAGE, f"dataset ids must be unique, got '{text}'")
-    return ids
-
-
-def _repro_run_dataset(ds_id: int, m: int, seed: int, hp: Hyperparams,
-                       controls: SolverControls, theta: float) -> dict:
-    """One benchmark run; returns a JSON-ready record (error key set on
-    abort). The run is recovered when precision = recall = 1 and no entry
-    deviates from the true matrix by more than REPRO_MAX_DEVIATION."""
+def _repro_run_dataset(ds_id: int, args) -> dict:
+    """One benchmark run at the settings of args; returns a JSON-ready
+    record (error key set on abort). The run is recovered when precision
+    = recall = 1 and no entry deviates from the true matrix by more than
+    REPRO_MAX_DEVIATION."""
     spec = builtin_spec(ds_id)
-    data = sample(spec, m, seed)
+    data = sample(spec, args.m, args.seed)
     D_true = spec.structural_matrix()
     rec = {"id": ds_id, "error": "", "recovered": False}
     t0 = time.perf_counter()
     try:
-        result = slcd(data, hp, controls)
+        result = slcd(data, args.hp, args.controls)
     except SolverAbort as exc:
         rec["error"] = str(exc)
     else:
-        bundle = metric_bundle(result.D_opt, data, D_true, theta)
+        bundle = metric_bundle(result.D_opt, data, D_true, args.theta)
         deviation = float(np.max(np.abs(result.D_opt - D_true.entries)))
         rec.update(estimated_matrix=StructuralMatrix(result.D_opt).to_json(),
                    max_abs_deviation=deviation, metrics=bundle.to_json(), j_min=result.J_min,
@@ -462,14 +454,12 @@ def _repro_gated(args, out_dir: Path, which: str, title: str, notes: list[str],
     Writes repro_<which>.json, whose records leave out the fields in
     drop, and repro_<which>.md: the title, the settings, the notes, then
     section(id, record) for each dataset."""
-    ids = _dataset_ids(args)
-    m, seed, theta = _setting(args, "m"), _setting(args, "seed"), _setting(args, "theta")
-    hp, controls = _build_hp(args), _build_controls(args)
+    hp, m, seed = args.hp, args.m, args.seed
     records = []
     lines = [title, "", f"sigma={hp.sigma:g}, lambda={hp.lam:g}, tau={hp.tau}, "
              f"m={m}, seed={seed}", "", *notes]
-    for ds_id in ids:
-        rec = _repro_run_dataset(ds_id, m, seed, hp, controls, theta)
+    for ds_id in args.datasets:
+        rec = _repro_run_dataset(ds_id, args)
         gated = ds_id in EXPECTED_RECOVERED_IDS
         rec.update(gated=gated, expected_unrecovered=not gated)
         lines += section(ds_id, rec)
@@ -498,16 +488,14 @@ def _repro_gated(args, out_dir: Path, which: str, title: str, notes: list[str],
 
 def _repro_sweeps(args, out_dir: Path) -> int:
     """One hyperparameter sweep CSV per dataset."""
-    ids = _dataset_ids(args)
-    settings = _sweep_settings(args)
-    sigma_grid, lambda_grid, m = settings["sigma_grid"], settings["lambda_grid"], settings["m"]
+    sigma_grid, lambda_grid, m = args.sigma_grid, args.lambda_grid, args.m
     summaries = []
     lines = ["# Hyperparameter sweeps", "",
              f"sigma grid {list(sigma_grid)}, lambda grid {list(lambda_grid)}, "
-             f"m={m}, restarts={settings['hp'].restarts}", ""]
-    for ds_id in ids:
+             f"m={m}, restarts={args.hp.restarts}", ""]
+    for ds_id in args.datasets:
         csv_path = out_dir / f"sweep_dataset{ds_id}.csv"
-        cells, solved, full = _run_sweep(ds_id, csv_path, settings)
+        cells, solved, full = _run_sweep(ds_id, csv_path, args)
         summaries.append({
             "id": ds_id,
             "cells": cells,
@@ -607,12 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "data, estimate structural matrices, and evaluate them.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, keys) in _COMMANDS.items():
-        # SUPPRESS leaves a flag not given out of args, so that main() can
-        # tell it apart from one given, and a config null from a missing key
+        # SUPPRESS leaves a flag not given out of args, so that _resolve()
+        # can tell it apart from one given, and a config null from a missing key
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for key in keys:
-            p.add_argument(key if key == "which" else "--" + key.replace("_", "-"),
-                           **_FLAGS[key])
+            p.add_argument(key if key == "which" else _flag(key), **_FLAGS[key])
         p.set_defaults(func=func)
     return parser
 
@@ -626,11 +613,7 @@ def main(argv=None) -> int:
         # same code without killing the embedding process.
         return int(exc.code or 0)
     try:
-        # flags > config file > defaults: a config key fills only what the
-        # command line left unset, and a command reads only args
-        for key, value in _load_config(getattr(args, "config", None)).items():
-            if not hasattr(args, key):
-                setattr(args, key, value)
+        _resolve(args, _load_config(getattr(args, "config", None)))
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,10 +46,10 @@ BUILTIN_IDS = (1, 2, 3, 4, 5)
 # (about 0.6 MB at n = 7) stays a small fraction of X.
 _WRITE_BLOCK = 4096
 
-# center() trusts a dataset's centred flag only if no row mean exceeds
-# this fraction of the row's largest magnitude. A relative mean delta
-# moves the second moments by about delta**2, so below 1e-8 the shift is
-# under one rounding error, while center()'s own output sits near 1e-17.
+# center() leaves a dataset as it is when no row mean exceeds this
+# fraction of the row's largest magnitude. A relative mean delta moves
+# the second moments by about delta**2, so below 1e-8 the shift is under
+# one rounding error, while center()'s own output sits near 1e-17.
 _CENTRED_TOL = 1e-8
 
 _U = Uniform(-2.5, 2.5)
@@ -116,7 +116,6 @@ class Dataset:
     X: np.ndarray
     spec_name: str
     seed: int
-    centered: bool = False
 
     def __post_init__(self):
         # Force one memory layout: BLAS kernels round differently on
@@ -169,29 +168,38 @@ def sample(spec: ScmSpec, m: int, seed: int) -> Dataset:
         else:
             for j, c in v.terms:
                 X[i] += c * X[j]
-    return Dataset(X=X, spec_name=spec.name, seed=int(seed), centered=False)
+    return Dataset(X=X, spec_name=spec.name, seed=int(seed))
+
+
+def _centred(X: np.ndarray) -> np.ndarray:
+    """X less its row means, or X itself when every row mean is at most
+    _CENTRED_TOL times the row's largest magnitude, as after centring."""
+    mean = X.mean(axis=1, keepdims=True)
+    # row by row, so that the first uncentred row ends the scan; a row's
+    # largest magnitude comes from its extremes, without an |X| copy
+    for row, mu in zip(X, mean[:, 0]):
+        if not abs(mu) <= _CENTRED_TOL * max(row.max(), -row.min()):
+            return X - mean
+    return X
 
 
 def center(ds: Dataset) -> Dataset:
-    """Remove the per-variable sample mean. Idempotent: a dataset flagged
-    as centred is returned unchanged when every row mean is at most 1e-8
-    times the row's largest magnitude, as it is after center(). A flag
-    the data contradict is not trusted: such data are centred again."""
+    """Remove the per-variable sample mean. Idempotent: ds itself is
+    returned when every row mean is at most 1e-8 times the row's largest
+    magnitude, as it is after center(); other data are centred."""
     if ds.m < 2:
         raise ValueError("centering needs at least 2 samples")
-    mean = ds.X.mean(axis=1, keepdims=True)
-    if ds.centered and np.all(
-            np.abs(mean) <= _CENTRED_TOL * np.abs(ds.X).max(axis=1, keepdims=True)):
-        return ds
-    return replace(ds, X=ds.X - mean, centered=True)
+    X = _centred(ds.X)
+    return ds if X is ds.X else replace(ds, X=X)
 
 
 def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariance Sigma = (1/m) Xc Xc^T of the centered data and
-    its diagonal. The normalizer is 1/m, not 1/(m-1)."""
+    """Sample covariance Sigma = (1/m) Xc Xc^T of the data centred as
+    center() centres them, and its diagonal. The normalizer is 1/m, not
+    1/(m-1)."""
     if ds.m < 2:
         raise ValueError("covariance needs at least 2 samples")
-    Xc = ds.X - ds.X.mean(axis=1, keepdims=True)
+    Xc = _centred(ds.X)
     Sigma = (Xc @ Xc.T) / ds.m
     return Sigma, np.diag(Sigma).copy()
 

@@ -368,13 +368,47 @@ def test_config_seed_only_at_top_level(ds2_csv, tmp_path, capsys) -> None:
 ])
 def test_config_values_checked_when_not_read(tmp_path, capsys, command, value) -> None:
     """A config value must be valid even where the command ignores its
-    key; discover names an absent file, so only the config can fail."""
+    key; discover names an absent file, so only the config can fail. The
+    message names the config key, not a flag."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(value))
     out = ("--out-dir",) if command[0] == "repro" else ("--out",)
     assert run(*command, "--config", str(config), *out, str(tmp_path / "out")) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    [key] = value
+    assert err.startswith(f"error: config key '{key}'")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["estimates", "comparison"])
+@pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--sigma-grid", "x"),
+                                         ("--lambda-grid", "")])
+def test_flags_checked_when_not_read(tmp_path, capsys, which, flag, value) -> None:
+    """repro estimates and comparison read neither --jobs nor the grids,
+    yet reject an invalid one before writing anything."""
+    out_dir = tmp_path / "out"
+    assert run("repro", which, "--datasets", "1", "--m", "50", "--restarts", "1",
+               "--iterations", "1", flag, value, "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key, flag_value, config_value", [
+    ("m", "1", 1), ("theta", "nan", -1), ("tau", "0", 0), ("restarts", "-2", 1.5),
+    ("sigma_grid", "x", "x"), ("lambda_grid", "", []),
+])
+def test_messages_name_the_source(tmp_path, capsys, key, flag_value, config_value) -> None:
+    """The same bad setting is reported under its flag name when given as
+    a flag and under its config key when given in the config file."""
+    command = ("sweep", "--dataset", "2", "--iterations", "1", "--out", str(tmp_path / "o.csv"))
+    flag = "--" + key.replace("_", "-")
+    assert run(*command, flag, flag_value) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: config_value}))
+    assert run(*command, "--config", str(config)) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
 
 
 def test_config_valid_unread_keys_are_ignored(tmp_path) -> None:

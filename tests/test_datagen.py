@@ -67,7 +67,6 @@ def test_sample_shapes() -> None:
     ds = sample(builtin_spec(2), 250, 0)
     assert ds.X.shape == (4, 250)
     assert ds.n == 4 and ds.m == 250
-    assert not ds.centered
 
 
 def test_sample_rejects_m_zero() -> None:
@@ -124,7 +123,6 @@ def test_independent_variance_sanity() -> None:
 def test_center_zero_mean_and_idempotent() -> None:
     ds = sample(builtin_spec(4), 400, 5)
     c1 = center(ds)
-    assert c1.centered
     row_scale = np.max(np.abs(c1.X), axis=1)
     assert np.all(np.abs(c1.X.mean(axis=1)) < 1e-12 * np.maximum(row_scale, 1.0))
     c2 = center(c1)
@@ -159,6 +157,15 @@ def test_sample_covariance_uses_1_over_m() -> None:
     assert Sigma[0, 0] == pytest.approx(1.0)
 
 
+def test_sample_covariance_centres_as_center_does() -> None:
+    # raw data are centred, data centred already are left as they are
+    raw = sample(builtin_spec(3), 300, 1)
+    for ds in (raw, center(raw)):
+        Xc = center(ds).X
+        Sigma, _ = sample_covariance(ds)
+        assert Sigma.tobytes() == ((Xc @ Xc.T) / ds.m).tobytes()
+
+
 def test_sample_covariance_near_induced() -> None:
     spec = builtin_spec(3)
     ds = sample(spec, 100_000, 4)
@@ -184,7 +191,6 @@ def test_csv_round_trip(tmp_path) -> None:
     np.testing.assert_array_equal(back.X, ds.X)
     assert back.spec_name == ds.spec_name
     assert back.seed == ds.seed
-    assert not back.centered
     meta = json.loads((tmp_path / "ds.json").read_text())
     for key in ("spec_name", "seed", "m"):
         assert key in meta
@@ -287,19 +293,6 @@ def test_sidecar_centered_claim_is_ignored(tmp_path) -> None:
     hp, controls = Hyperparams(restarts=2, iterations=1), SolverControls(max_inner_steps=20)
     a = slcd(load_dataset(claimed), hp, controls)
     b = slcd(load_dataset(bare), hp, controls)
-    assert a.D_opt.tobytes() == b.D_opt.tobytes()
-
-
-def test_false_centered_flag_is_not_trusted() -> None:
-    # shifted data flagged as centred must be centred and solved as the
-    # same data without the flag
-    ds = sample(builtin_spec(2), 1000, 0)
-    flagged = Dataset(X=ds.X + 3.0, spec_name=ds.spec_name, seed=ds.seed, centered=True)
-    bare = Dataset(X=ds.X + 3.0, spec_name=ds.spec_name, seed=ds.seed)
-    assert center(flagged).X.tobytes() == center(bare).X.tobytes()
-    hp, controls = Hyperparams(restarts=2, iterations=1), SolverControls(max_inner_steps=20)
-    a = slcd(flagged, hp, controls)
-    b = slcd(bare, hp, controls)
     assert a.D_opt.tobytes() == b.D_opt.tobytes()
 
 
