@@ -120,12 +120,17 @@ def _hyper(key: str, value, where: str):
 
 def _grid(raw, where: str) -> tuple[float, ...]:
     """A sweep grid: a comma-separated string (flag or config) or a
-    config list of numbers."""
-    parts = [part for part in raw.split(",") if part.strip()] if isinstance(raw, str) else raw
-    try:
-        values = tuple(float(v) for v in parts)
-    except (TypeError, ValueError):
-        values = ()
+    config list of real numbers. Any other config value, or a list that
+    holds a bool, a string or an object, is a usage error."""
+    values = ()
+    if isinstance(raw, str):
+        try:
+            values = tuple(float(part) for part in raw.split(",") if part.strip())
+        except ValueError:
+            pass
+    elif isinstance(raw, list) and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                       for v in raw):
+        values = tuple(float(v) for v in raw)
     if not values:
         raise _CliError(EXIT_USAGE, f"{where} must be a non-empty list of numbers, got {raw!r}")
     return values

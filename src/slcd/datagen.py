@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,11 +39,6 @@ __all__ = [
 FORMAT_VERSION = 1
 
 BUILTIN_IDS = (1, 2, 3, 4, 5)
-
-# Samples formatted per write by save_dataset: large enough that the
-# per-block Python overhead vanishes, small enough that the block's text
-# (about 0.6 MB at n = 7) stays a small fraction of X.
-_WRITE_BLOCK = 4096
 
 # center() leaves a dataset as it is when no row mean exceeds this
 # fraction of the row's largest magnitude. A relative mean delta moves
@@ -120,11 +114,17 @@ class Dataset:
     def __post_init__(self):
         # Force one memory layout: BLAS kernels round differently on
         # C- vs F-ordered operands, and that ulp noise can steer the
-        # solver into a different basin on identical values.
-        a = np.array(self.X, dtype=float, order="C")
+        # solver into a different basin on identical values. A read-only
+        # C-ordered float64 array is kept as it is, so that the arrays
+        # this module builds are not copied; any other X is copied, and
+        # the copy is made read-only.
+        a = self.X
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.c_contiguous and not a.flags.writeable):
+            a = np.array(a, dtype=float, order="C")
+            a.flags.writeable = False
         if a.ndim != 2:
             raise ValueError(f"data must be a 2-d matrix, got shape {a.shape}")
-        a.flags.writeable = False
         object.__setattr__(self, "X", a)
 
     @property
@@ -168,6 +168,7 @@ def sample(spec: ScmSpec, m: int, seed: int) -> Dataset:
         else:
             for j, c in v.terms:
                 X[i] += c * X[j]
+    X.flags.writeable = False
     return Dataset(X=X, spec_name=spec.name, seed=int(seed))
 
 
@@ -190,7 +191,10 @@ def center(ds: Dataset) -> Dataset:
     if ds.m < 2:
         raise ValueError("centering needs at least 2 samples")
     X = _centred(ds.X)
-    return ds if X is ds.X else replace(ds, X=X)
+    if X is ds.X:
+        return ds
+    X.flags.writeable = False   # the Dataset keeps it without a copy
+    return replace(ds, X=X)
 
 
 def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -212,18 +216,13 @@ def _sidecar_path(csv_path: str) -> str:
 def save_dataset(ds: Dataset, csv_path: str) -> tuple[str, str]:
     """Write the dataset as CSV (one sample per line, n columns, 17
     significant digits) plus a JSON sidecar with the provenance fields.
-    Returns the two paths written.
+    Returns the two paths written. The bytes are those of
+    np.savetxt(fh, X.T, fmt="%.17g", delimiter=","); the file is
+    written in pieces on up to one process per CPU (see _csvio)."""
+    from . import _csvio
 
-    The writer formats _WRITE_BLOCK samples at a time with one '%' on a
-    format string of that many lines, so it holds at most one block of
-    text beside X; the bytes are those of
-    np.savetxt(fh, X.T, fmt="%.17g", delimiter=",")."""
+    _csvio.write(ds.X, csv_path)
     sidecar = _sidecar_path(csv_path)
-    line = ",".join(["%.17g"] * ds.n) + "\n"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for start in range(0, ds.m, _WRITE_BLOCK):
-            block = ds.X[:, start:start + _WRITE_BLOCK]
-            fh.write((line * block.shape[1]) % tuple(block.T.ravel().tolist()))
     meta = {
         "format_version": FORMAT_VERSION,
         "spec_name": ds.spec_name,
@@ -238,17 +237,15 @@ def save_dataset(ds: Dataset, csv_path: str) -> tuple[str, str]:
 def load_dataset(csv_path: str) -> Dataset:
     """Read a dataset written by save_dataset. Empty lines are skipped;
     any other line must hold the same number of numeric cells, so a
-    line of only spaces or a '#' comment is malformed (ValueError). The
-    sidecar is optional; without it the provenance fields fall back to
-    neutral values. A "centered" value in the sidecar, which earlier
-    versions wrote, is ignored: data read from a file are never taken
-    as centred, so slcd() centres them."""
-    with open(csv_path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-        # an empty input is reported below as a ValueError, not a warning
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        X = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2).T
-    if X.size == 0:
-        raise ValueError(f"no data rows in {csv_path}")
+    line of only spaces or a '#' comment is malformed: the ValueError
+    names the first malformed line. The file is read in pieces on up to
+    one process per CPU (see _csvio). The sidecar is optional; without
+    it the provenance fields fall back to neutral values. A "centered"
+    value in the sidecar, which earlier versions wrote, is ignored: data
+    read from a file are never taken as centred, so slcd() centres them."""
+    from . import _csvio
+
+    X = _csvio.read(csv_path)
     meta = {"spec_name": "", "seed": 0}
     sidecar = _sidecar_path(csv_path)
     if os.path.exists(sidecar):

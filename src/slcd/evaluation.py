@@ -75,9 +75,12 @@ def reconstruction_error(D_hat, X) -> float:
     X = np.asarray(X, dtype=float)
     if X.shape[0] != D.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows, D is {D.shape[0]}x{D.shape[0]}")
-    E = X - D @ X
+    # one n-by-m temporary, reused for the residual and its square
+    E = D @ X
+    np.subtract(X, E, out=E)
+    np.multiply(E, E, out=E)
     n, m = X.shape
-    return float(np.sum(E * E)) / (n * m)
+    return float(np.sum(E)) / (n * m)
 
 
 def structure_error(D_hat, D_true) -> float:

@@ -196,8 +196,11 @@ def residuals(D, X, Sigma, sigma_diag) -> tuple[float, float]:
     Sigma = np.asarray(Sigma, dtype=float)
     sd = np.asarray(sigma_diag, dtype=float)
     _check_dims(D, X, Sigma, sd)
-    E = X - D @ X
-    recon = float(np.sum(E * E))
+    # one n-by-m temporary, reused for the residual and its square
+    E = D @ X
+    np.subtract(X, E, out=E)
+    np.multiply(E, E, out=E)
+    recon = float(np.sum(E))
     R = Sigma - (D * sd) @ D.T
     cov = float(np.sum(R * R))
     return recon, cov

@@ -242,6 +242,45 @@ def test_discover_malformed_data_is_io_error(tmp_path, capsys, text) -> None:
     assert "Traceback" not in err
 
 
+# The 1-based line of each MALFORMED_CSV case's first malformed line,
+# None where the file holds no data row.
+MALFORMED_LINE = {
+    "empty": None,
+    "blank-lines": None,
+    "ragged-row": 2,
+    "non-numeric-cell": 2,
+    "trailing-comma": 1,
+    "comment-line": 1,
+    "whitespace-only-line": 2,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CSV)
+def test_malformed_line_past_the_first_piece(tmp_path, capsys, monkeypatch, name) -> None:
+    """Each MALFORMED_CSV case after 30 good rows, read in 16-byte pieces
+    on two processes: the API raises a ValueError that names the bad
+    line of the file, and discover exits 3 with it."""
+    import multiprocessing
+
+    from slcd import _csvio
+
+    monkeypatch.setattr(_csvio, "_READ_PIECE", 16)
+    monkeypatch.setattr(_csvio, "_usable_cpus", lambda: 2)
+    line = MALFORMED_LINE[name]
+    prefix = "" if line is None else "1,2,3\n" * 30
+    bad = tmp_path / "bad.csv"
+    bad.write_text(prefix + MALFORMED_CSV[name], encoding="utf-8")
+    expected = f"no data rows in {bad}" if line is None else f"{bad}:{30 + line}: "
+    with pytest.raises(ValueError) as err:
+        load_dataset(str(bad))
+    assert str(err.value).startswith(expected)
+    assert "usecols" not in str(err.value)
+    assert run("discover", "--data", str(bad), "--restarts", "1", "--iterations", "1",
+               "--out", str(tmp_path / "result.json")) == 3
+    assert f"malformed dataset: {expected}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 def test_single_sample_dataset_is_io_error(tmp_path, capsys) -> None:
     data = str(tmp_path / "one.csv")
     assert run("generate", "--dataset", "2", "--m", "1", "--out", data) == 2
@@ -409,6 +448,33 @@ def test_messages_name_the_source(tmp_path, capsys, key, flag_value, config_valu
     config.write_text(json.dumps({key: config_value}))
     assert run(*command, "--config", str(config)) == 2
     assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_grid", {"0.3": 1}), ("lambda_grid", ["0.5"]), ("lambda_grid", [True]),
+    ("sigma_grid", [0.3, None]),
+])
+def test_config_grid_must_list_numbers(tmp_path, capsys, key, value) -> None:
+    """A config grid is a string or a list of real numbers: an object, a
+    string item or a bool item is a usage error under the config key."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "grid.csv"
+    assert run("sweep", "--dataset", "2", "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key '{key}' must be a non-empty list of numbers")
+    assert not out.exists()
+
+
+def test_config_grid_of_ints(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sigma_grid": [1], "lambda_grid": [5, 10]}))
+    out = tmp_path / "grid.csv"
+    assert run("sweep", "--dataset", "2", "--m", "30", "--restarts", "1", "--iterations", "1",
+               "--config", str(config), "--out", str(out)) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        cells = [(float(row["sigma"]), float(row["lambda"])) for row in csv.DictReader(fh)]
+    assert cells == [(1.0, 5.0), (1.0, 10.0)]
 
 
 def test_config_valid_unread_keys_are_ignored(tmp_path) -> None:

@@ -28,7 +28,7 @@ from slcd import (
     save_dataset,
     slcd,
 )
-from slcd import datagen
+from slcd import _csvio
 
 UNIFORM_VARIANCE = 25.0 / 12.0
 
@@ -231,7 +231,7 @@ def _save_bytes(path, X) -> bytes:
     return path.read_bytes()
 
 
-BLOCK = datagen._WRITE_BLOCK
+BLOCK = _csvio._WRITE_BLOCK
 
 
 @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -259,7 +259,7 @@ def test_csv_writer_matches_savetxt_property(tmp_path_factory, X, block) -> None
     """With the block size shrunk, small matrices cross several block
     boundaries and still give savetxt's bytes."""
     d = tmp_path_factory.mktemp("w")
-    with mock.patch.object(datagen, "_WRITE_BLOCK", block):
+    with mock.patch.object(_csvio, "_WRITE_BLOCK", block):
         written = _save_bytes(d / "a.csv", X)
     assert written == _savetxt_bytes(d / "b.csv", X)
 
@@ -311,3 +311,220 @@ def test_dataset_normalizes_memory_layout(tmp_path) -> None:
     csv_path, _ = save_dataset(sampled, str(tmp_path / "d.csv"))
     back = load_dataset(csv_path)
     assert back.X.flags["C_CONTIGUOUS"]
+
+
+def test_dataset_keeps_read_only_arrays_and_copies_others() -> None:
+    X = np.arange(12.0).reshape(3, 4)
+    copied = Dataset(X=X, spec_name="w", seed=0)
+    assert not np.shares_memory(copied.X, X) and not copied.X.flags.writeable
+    X.flags.writeable = False
+    assert Dataset(X=X, spec_name="r", seed=0).X is X
+
+
+def test_center_allocates_the_result_once() -> None:
+    import tracemalloc
+
+    ds = sample(builtin_spec(5), 100_000, 0)
+    tracemalloc.start()
+    try:
+        centred = center(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert centred.X is not ds.X
+    assert peak <= 1.1 * centred.X.nbytes
+
+
+# ------------------------------------------------- the CSV codec in pieces
+
+@pytest.fixture()
+def two_cpus():
+    """The codec's CPU count set to 2, so that more than one piece runs on
+    a pool on any host; yields a spy on _csvio._pool. Afterwards no pool
+    process is left and no ResourceWarning was issued."""
+    import gc
+    import multiprocessing
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(_csvio, "_usable_cpus", return_value=2), \
+            mock.patch.object(_csvio, "_pool", wraps=_csvio._pool) as pool:
+        warnings.simplefilter("always", ResourceWarning)
+        yield pool
+        gc.collect()
+    assert multiprocessing.active_children() == []
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("m", [1, 4, 5, 6, 11])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_csv_writer_pieces_match_savetxt(tmp_path, two_cpus, n, m) -> None:
+    """With 5-sample pieces of 2-sample blocks, every m around a piece
+    boundary gives savetxt's bytes, and the part files are gone."""
+    rng = np.random.default_rng([n, m])
+    X = rng.integers(0, 2 ** 64, size=(n, m), dtype=np.uint64).view(np.float64)
+    with mock.patch.object(_csvio, "_WRITE_PIECE", 5), mock.patch.object(_csvio, "_WRITE_BLOCK", 2):
+        written = _save_bytes(tmp_path / "a.csv", X)
+    assert written == _savetxt_bytes(tmp_path / "b.csv", X)
+    assert two_cpus.call_count == (m > 5)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json", "b.csv"]
+
+
+def _csv_text(rng, rows: int, n: int) -> str:
+    X = rng.standard_normal((rows, n))
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in X)
+
+
+def _variants(text: str) -> dict[str, str]:
+    lines = text.splitlines(keepends=True)
+    return {
+        "lf": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "no-final-newline": text[:-1],
+        "blank-lines": "\n" + "".join(line + "\n" * (i % 3 == 0) for i, line in enumerate(lines)),
+        "crlf-blank-lines": "\r\n" + "".join(line.replace("\n", "\r\n") + "\r\n" * (i % 2)
+                                             for i, line in enumerate(lines)),
+    }
+
+
+@pytest.mark.parametrize("piece", [1, 40, 97, 300])
+def test_csv_reader_pieces_match_one_piece(tmp_path, two_cpus, piece) -> None:
+    """Cut into pieces, a file reads to the bits that one piece and a
+    text-mode np.loadtxt give, blank lines at piece boundaries, CRLF line
+    ends and a missing final newline included."""
+    text = _csv_text(np.random.default_rng(piece), 23, 3)
+    for name, variant in _variants(text).items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(variant.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            expected = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2).T
+        whole = load_dataset(str(path)).X
+        with mock.patch.object(_csvio, "_READ_PIECE", piece):
+            pieces = load_dataset(str(path)).X
+        assert whole.tobytes() == expected.tobytes(), name
+        assert pieces.shape == expected.shape and pieces.tobytes() == expected.tobytes(), name
+    assert two_cpus.call_count == len(_variants(text))
+
+
+def test_csv_round_trip_in_pieces_is_bit_identical(tmp_path, two_cpus) -> None:
+    ds = sample(builtin_spec(5), 3000, 1)
+    with mock.patch.object(_csvio, "_WRITE_PIECE", 700), mock.patch.object(_csvio, "_READ_PIECE", 5000):
+        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+        back = load_dataset(csv_path)
+    assert two_cpus.call_count == 2
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert back.X.flags.c_contiguous and not back.X.flags.writeable
+
+
+def test_more_processes_than_cpus_write_disjoint_columns(tmp_path) -> None:
+    """Six processes on small pieces share X and the output: every piece
+    lands in its own columns and its own place in the file."""
+    import multiprocessing
+
+    ds = sample(builtin_spec(4), 2000, 5)
+    with mock.patch.object(_csvio, "_usable_cpus", return_value=6), \
+            mock.patch.object(_csvio, "_WRITE_PIECE", 97), mock.patch.object(_csvio, "_READ_PIECE", 999):
+        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+        back = load_dataset(csv_path)
+    assert Path(csv_path).read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ds.X)
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kernel_copy", ["refused", "missing"])
+def test_parts_are_appended_without_a_kernel_copy(tmp_path, two_cpus, kernel_copy) -> None:
+    """Where copy_file_range fails or does not exist, the part files are
+    appended in user space, to the same bytes."""
+    import errno
+
+    ds = sample(builtin_spec(3), 300, 4)
+    refused = mock.Mock(side_effect=OSError(errno.EXDEV, "cross-device"))
+    patch = (mock.patch.object(_csvio.os, "copy_file_range", refused) if kernel_copy == "refused"
+             else mock.patch.object(_csvio.os, "copy_file_range", create=False, new=None))
+    with patch, mock.patch.object(_csvio, "_WRITE_PIECE", 70):
+        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    assert Path(csv_path).read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ds.X)
+    assert two_cpus.call_count == 1
+
+
+def test_unwritable_path_is_reported_under_its_name(tmp_path, two_cpus) -> None:
+    ds = sample(builtin_spec(2), 300, 0)
+    path = tmp_path / "missing" / "d.csv"
+    with mock.patch.object(_csvio, "_WRITE_PIECE", 70), pytest.raises(FileNotFoundError) as err:
+        save_dataset(ds, str(path))
+    assert err.value.filename == str(path)
+
+
+def test_one_cpu_runs_the_pieces_in_process(tmp_path) -> None:
+    ds = sample(builtin_spec(2), 500, 3)
+    with mock.patch.object(_csvio, "_usable_cpus", return_value=1), \
+            mock.patch.object(_csvio, "_pool") as pool, \
+            mock.patch.object(_csvio, "_WRITE_PIECE", 64), mock.patch.object(_csvio, "_READ_PIECE", 512):
+        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+        back = load_dataset(csv_path)
+    pool.assert_not_called()
+    assert back.X.tobytes() == ds.X.tobytes()
+
+
+def _load_bytes(path: str) -> bytes:
+    return load_dataset(path).X.tobytes()
+
+
+def test_load_inside_a_pool_worker(tmp_path, two_cpus) -> None:
+    """A daemonic pool worker may start no processes, so it parses every
+    piece itself."""
+    import multiprocessing
+
+    ds = sample(builtin_spec(3), 400, 2)
+    csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    with mock.patch.object(_csvio, "_READ_PIECE", 256):
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            loaded = outer.apply_async(_load_bytes, (csv_path,)).get(timeout=120)
+    assert loaded == ds.X.tobytes()
+    two_cpus.assert_not_called()
+
+
+def test_malformed_piece_names_its_file_line(tmp_path, two_cpus) -> None:
+    """Past many pieces, a bad cell, a short row, a non-UTF-8 line and a
+    long row are each reported at their 1-based line in the file, and the
+    earliest fault wins."""
+    good = "1,2,3\n" * 40 + "\n"
+    path = tmp_path / "bad.csv"
+    for tail, line, reason in [("4,x,6\n", 42, "column 2, 'x' is not a number"),
+                               ("4,5\n7,x,9\n", 42, "2 columns, but the first data row has 3"),
+                               ("\r\n4,5,6\r\n\xff,1,2\n", 44, "not UTF-8 text"),
+                               ("1,2,3," + "4," * 40 + "5\n", 42, "44 columns, but the first data row has 3")]:
+        path.write_bytes(good.encode() + tail.encode("latin-1") + good.encode() + b"1,x,3\n")
+        with mock.patch.object(_csvio, "_READ_PIECE", 16), pytest.raises(ValueError) as err:
+            load_dataset(str(path))
+        assert str(err.value) == f"{path}:{line}: {reason}"
+
+
+def test_import_loads_no_process_machinery() -> None:
+    """Importing slcd loads neither the CSV codec nor multiprocessing,
+    concurrent.futures or mmap: save_dataset, load_dataset and sweep()
+    import them when they run, so that the import stays short."""
+    import os
+    import subprocess
+    import sys
+
+    import slcd
+
+    src = str(Path(slcd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, slcd; "
+            "print(sorted({'slcd._csvio', 'multiprocessing', 'concurrent.futures', 'mmap'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["[]"]
+
+
+def test_wide_first_row_is_reported_not_allocated(tmp_path, two_cpus) -> None:
+    """A first row far wider than the rest would make an n-by-m matrix
+    larger than the file could fill: the short second row is reported."""
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["1"] * 1000) + "\n" + "2\n" * 2000, encoding="utf-8")
+    with mock.patch.object(_csvio, "_READ_PIECE", 512), pytest.raises(ValueError) as err:
+        load_dataset(str(path))
+    assert str(err.value) == f"{path}:2: 1 column, but the first data row has 1000"
