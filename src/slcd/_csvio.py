@@ -12,10 +12,11 @@ import io
 import os
 import shutil
 import tempfile
-import warnings
 from functools import partial
 
 import numpy as np
+
+from .datagen import _usable_cpus
 
 # Samples formatted per write: large enough that the per-block Python
 # overhead vanishes, small enough that the block's text (about 0.6 MB at
@@ -42,25 +43,21 @@ def _worker_call(fn, args):
     return fn(_worker_state, *args)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # the platform cannot tell; take them all
-        return os.cpu_count() or 1
-
-
 def _workers(pieces: int) -> int:
     """The number of processes to run the pieces on: min(pieces, usable
-    CPUs). 1, this process, when the platform cannot fork or this
-    process is a daemonic pool worker, which may start no children."""
+    CPUs). 1, this process, when the platform cannot fork, when this
+    process is a daemonic pool worker, which may start no children, or
+    when it runs a Python thread besides this one, which may hold a lock
+    that a forked child would wait on for ever."""
     workers = min(pieces, _usable_cpus())
     if workers < 2:
         return 1
     import multiprocessing
+    import threading
 
     if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
         return 1
     return workers
 
@@ -71,13 +68,7 @@ def _pool(workers: int, state):
     is copied. Its exit terminates and joins them."""
     import multiprocessing
 
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns when a process that has threads forks. The
-        # only ones here are OpenBLAS's, which the workers never call: they
-        # only format and parse text.
-        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                DeprecationWarning)
-        return multiprocessing.get_context("fork").Pool(workers, _worker_init, (state,))
+    return multiprocessing.get_context("fork").Pool(workers, _worker_init, (state,))
 
 
 def _write_samples(X: np.ndarray, start: int, stop: int, fh) -> None:
@@ -94,21 +85,6 @@ def _write_part(X: np.ndarray, start: int, stop: int, path: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         _write_samples(X, start, stop, fh)
     return path
-
-
-def _append(dst, src) -> None:
-    """Append the open binary file src to dst, in the kernel where the
-    platform and the file system allow it."""
-    copy = getattr(os, "copy_file_range", None)
-    if copy is not None:
-        try:
-            while copy(src.fileno(), dst.fileno(), 1 << 30):
-                pass
-            return
-        except OSError:     # not between these files: copy the rest below
-            pass
-    shutil.copyfileobj(src, dst)
-    dst.flush()             # the next part may again be copied in the kernel
 
 
 def write(X: np.ndarray, path: str) -> None:
@@ -135,7 +111,7 @@ def write(X: np.ndarray, path: str) -> None:
                  for k, (start, stop) in enumerate(pieces)]
         for part in pool.imap(partial(_worker_call, _write_part), tasks):
             with open(part, "rb") as src:
-                _append(fh, src)
+                shutil.copyfileobj(src, fh)
             os.remove(part)
 
 

@@ -114,13 +114,13 @@ class Dataset:
     def __post_init__(self):
         # Force one memory layout: BLAS kernels round differently on
         # C- vs F-ordered operands, and that ulp noise can steer the
-        # solver into a different basin on identical values. A read-only
-        # C-ordered float64 array is kept as it is, so that the arrays
-        # this module builds are not copied; any other X is copied, and
-        # the copy is made read-only.
+        # solver into a different basin on identical values. A plain,
+        # read-only, C-ordered float64 array on memory of its own is kept
+        # as it is, so that the arrays this module builds are not copied;
+        # any other X is copied, and the copy is made read-only.
         a = self.X
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.flags.c_contiguous and not a.flags.writeable):
+        if not (type(a) is np.ndarray and a.dtype == np.float64
+                and a.flags.c_contiguous and not a.flags.writeable and _own_memory(a)):
             a = np.array(a, dtype=float, order="C")
             a.flags.writeable = False
         if a.ndim != 2:
@@ -134,6 +134,22 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.X.shape[1]
+
+
+def _own_memory(a: np.ndarray) -> bool:
+    """Whether a's memory is not another array's: a owns it, or a views
+    an mmap.mmap, as the matrix load_dataset() reads into does. A view
+    of another array may change with it."""
+    if a.flags.owndata:
+        return True
+    base = a.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not isinstance(base, memoryview):
+        return False
+    import mmap
+
+    return isinstance(base.obj, mmap.mmap)
 
 
 def _as_dataset(data) -> Dataset:
@@ -206,6 +222,15 @@ def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Xc = _centred(ds.X)
     Sigma = (Xc @ Xc.T) / ds.m
     return Sigma, np.diag(Sigma).copy()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, which bounds the
+    processes that the CSV codec and sweep() start."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # the platform cannot tell; take them all
+        return os.cpu_count() or 1
 
 
 def _sidecar_path(csv_path: str) -> str:

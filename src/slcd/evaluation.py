@@ -8,14 +8,13 @@ precision/recall of the extracted edge set against the true links.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .datagen import _as_dataset, builtin_spec, sample, sample_covariance
+from .datagen import _as_dataset, _usable_cpus, builtin_spec, sample, sample_covariance
 from .objective import Hyperparams
 from .scm_core import EdgeSet, _matrix_entries, true_edges
 from .solver import DiscoveryResult, SolverAbort, SolverControls, slcd
@@ -245,7 +244,7 @@ def sweep(dataset_id: int,
     The data is generated once; each cell runs fresh restarts with a
     solver seed derived deterministically from controls.seed and the
     cell index, so results do not depend on execution order or on jobs.
-    With jobs > 1 the cells run in min(jobs, cells, CPU count) spawned
+    With jobs > 1 the cells run in min(jobs, cells, usable CPUs) spawned
     worker processes, so a script that calls this at its top level needs
     the usual ``if __name__ == "__main__":`` guard.
     A cell whose solve aborts is recorded with its error and the sweep
@@ -269,7 +268,7 @@ def sweep(dataset_id: int,
         tasks.append((hp_cell, controls_cell))
 
     run = partial(_run_cell, data, D_true, theta=theta)
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         # Processes, not threads: the solver is Python-bound and holds
         # the interpreter lock. Spawned workers import slcd afresh, so a

@@ -313,12 +313,29 @@ def test_dataset_normalizes_memory_layout(tmp_path) -> None:
     assert back.X.flags["C_CONTIGUOUS"]
 
 
-def test_dataset_keeps_read_only_arrays_and_copies_others() -> None:
-    X = np.arange(12.0).reshape(3, 4)
+def test_dataset_keeps_read_only_arrays_and_copies_others(tmp_path) -> None:
+    """Only a plain read-only array that no other array shares is kept:
+    a writable array, a subclass and a view are copied into a plain,
+    read-only ndarray."""
+    X = np.arange(12.0).reshape(3, 4).copy()
     copied = Dataset(X=X, spec_name="w", seed=0)
     assert not np.shares_memory(copied.X, X) and not copied.X.flags.writeable
+    view = X[:, :]
+    view.flags.writeable = False
+    from_view = Dataset(X=view, spec_name="v", seed=0).X
+    assert not np.shares_memory(from_view, X)
+    with pytest.warns(PendingDeprecationWarning):
+        matrix = np.asmatrix(X.copy())
+    matrix.flags.writeable = False
+    from_matrix = Dataset(X=matrix, spec_name="m", seed=0).X
+    assert type(from_matrix) is np.ndarray and not np.shares_memory(from_matrix, matrix)
+    np.testing.assert_array_equal(from_matrix, X)
+    assert not from_matrix.flags.writeable
     X.flags.writeable = False
     assert Dataset(X=X, spec_name="r", seed=0).X is X
+    csv_path, _ = save_dataset(Dataset(X=X, spec_name="r", seed=0), str(tmp_path / "d.csv"))
+    loaded = load_dataset(csv_path)
+    assert Dataset(X=loaded.X, spec_name="l", seed=0).X is loaded.X
 
 
 def test_center_allocates_the_result_once() -> None:
@@ -431,22 +448,6 @@ def test_more_processes_than_cpus_write_disjoint_columns(tmp_path) -> None:
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("kernel_copy", ["refused", "missing"])
-def test_parts_are_appended_without_a_kernel_copy(tmp_path, two_cpus, kernel_copy) -> None:
-    """Where copy_file_range fails or does not exist, the part files are
-    appended in user space, to the same bytes."""
-    import errno
-
-    ds = sample(builtin_spec(3), 300, 4)
-    refused = mock.Mock(side_effect=OSError(errno.EXDEV, "cross-device"))
-    patch = (mock.patch.object(_csvio.os, "copy_file_range", refused) if kernel_copy == "refused"
-             else mock.patch.object(_csvio.os, "copy_file_range", create=False, new=None))
-    with patch, mock.patch.object(_csvio, "_WRITE_PIECE", 70):
-        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
-    assert Path(csv_path).read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ds.X)
-    assert two_cpus.call_count == 1
-
-
 def test_unwritable_path_is_reported_under_its_name(tmp_path, two_cpus) -> None:
     ds = sample(builtin_spec(2), 300, 0)
     path = tmp_path / "missing" / "d.csv"
@@ -464,6 +465,23 @@ def test_one_cpu_runs_the_pieces_in_process(tmp_path) -> None:
         back = load_dataset(csv_path)
     pool.assert_not_called()
     assert back.X.tobytes() == ds.X.tobytes()
+
+
+def test_load_beside_another_thread_runs_in_process(tmp_path, two_cpus) -> None:
+    """A Python thread besides the caller's may hold a lock that a forked
+    child would wait on, so a load started from a second thread, or
+    while one runs, parses every piece in the calling process."""
+    import threading
+
+    ds = sample(builtin_spec(3), 400, 2)
+    csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    loaded = []
+    with mock.patch.object(_csvio, "_READ_PIECE", 256):
+        worker = threading.Thread(target=lambda: loaded.append(_load_bytes(csv_path)))
+        worker.start()
+        worker.join()
+    assert loaded == [ds.X.tobytes()]
+    two_cpus.assert_not_called()
 
 
 def _load_bytes(path: str) -> bytes:

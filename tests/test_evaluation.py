@@ -279,6 +279,19 @@ def test_sweep_jobs_match_serial() -> None:
     assert [c.metrics for c in serial.cells] == [c.metrics for c in parallel.cells]
 
 
+def test_sweep_runs_in_process_on_one_usable_cpu(monkeypatch) -> None:
+    """sweep() bounds its processes by the CPUs this process may run on,
+    as the CSV codec does: on one, jobs=2 runs the cells here, where the
+    patched solver is seen (spawned workers would import the real one)."""
+    def fake(data, hp, controls):
+        raise SolverAbort("stub", [])
+
+    monkeypatch.setattr("slcd.evaluation.slcd", fake)
+    monkeypatch.setattr("slcd.evaluation._usable_cpus", lambda: 1)
+    result = sweep(4, sigma_grid=(0.3,), lambda_grid=(1.0, 5.0), jobs=2)
+    assert [c.error for c in result.cells] == ["stub", "stub"]
+
+
 def test_sweep_csv_layout(tmp_path, monkeypatch) -> None:
     def fake(data, hp, controls):
         raise SolverAbort("stub", [])
