@@ -25,15 +25,20 @@ All restarts are solved together: one SQP call advances a (k, n, n)
 stack of iterates in lockstep, with one stacked SVD per evaluation and
 stacked products for the QP and the BFGS update, while the per-restart
 scalars (step, merit weight, stop tests) stay Python floats. A restart
-leaves the stack when its own solve stops. The backtracking runs as a
-ladder: in each round every restart still searching evaluates its next
-1, then 2, then 4, ... trial steps in one stacked call and takes the
-first that passes, the same step as one-at-a-time backtracking in about
-log2 as many rounds. Every row is computed on its own, so a restart's
-iterates are bit-identical whatever the stack it runs in. The rounds of
-slcd() work on the same stack: after each solve, one row_threshold call
-thresholds all restarts and one evaluation scores them, and a restart's
-wall_ms is its share of the run's time by SQP iterations.
+leaves the stack when its own solve stops. The backtracking runs in
+windows: in each round every restart still searching evaluates its next
+few trial steps in one stacked call and takes the first that passes,
+the same step as one-at-a-time backtracking. A restart's first window
+on a QP step reaches one step past the step it accepted in its previous
+iteration (alpha = 1 and 1/2 at the start of a solve), a restoration
+step's first window holds one step, and each later window is twice the
+one before: a search that accepts a step no more than one halving
+below its last ends in one round. Every row is computed on its own, so
+a restart's iterates are bit-identical whatever the stack it runs in.
+The rounds of slcd() work on the same stack: after each solve, one
+row_threshold call thresholds all restarts and one evaluation scores
+them, and a restart's wall_ms is its share of the run's time by SQP
+iterations.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -236,19 +241,21 @@ _FULL_STEPS = _ladder(1.0, _BACKTRACK)
 _RESTORE_STEPS = _ladder(_RESTORE_STEP, _BACKTRACK)
 
 
-def _line_search(ws: _Workspace, z, P, rows, ladders, nu, phi0, dphi):
+def _line_search(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, dphi):
     """Armijo backtracking on the l1 merit for several members at once.
     Member rows[i] tries the steps ladders[i] in order and takes the
-    first that passes. Trials are evaluated in rounds: a member still
-    searching evaluates its next 1, then 2, then 4, ... steps in one
-    stacked call, so it accepts the same step as one-at-a-time
-    backtracking in about log2 as many rounds. Returns, per member, None
-    when no step passed, else (alpha, trial point)."""
+    first that passes. Trials are evaluated in rounds: in one stacked
+    call, each member still searching evaluates its next widths[i]
+    steps, and its width doubles for the next round. It thus accepts
+    the same step as one-at-a-time backtracking, in one round when its
+    first window covers that step and in about log2 as many rounds when
+    not. Returns, per member, None when no step passed, else (alpha,
+    trial point, index of alpha in the ladder)."""
     out = [None] * len(rows)
+    start, width = [0] * len(rows), list(widths)
     pending = [i for i in range(len(rows)) if ladders[i]]
-    start, width = 0, 1
     while pending:
-        trials = [ladders[i][start:start + width] for i in pending]
+        trials = [ladders[i][start[i]:start[i] + width[i]] for i in pending]
         take = [rows[i] for i, steps in zip(pending, trials) for _ in steps]
         alphas = [a for steps in trials for a in steps]
         Zt = z.take(take, axis=0) + np.array(alphas)[:, None] * P.take(take, axis=0)
@@ -259,15 +266,15 @@ def _line_search(ws: _Workspace, z, P, rows, ladders, nu, phi0, dphi):
             for t in range(base, base + len(steps)):
                 phin = ft[t] + nu[i] * (max(ct[t][0], 0.0) + max(ct[t][1], 0.0))
                 if math.isfinite(phin) and phin <= phi0[i] + _ARMIJO_C * alphas[t] * dphi[i]:
-                    out[i] = (alphas[t], Zt[t])
+                    out[i] = (alphas[t], Zt[t], start[i] + t - base)
                     break
             else:
-                if start + width < len(ladders[i]):
+                start[i] += width[i]
+                width[i] *= 2
+                if start[i] < len(ladders[i]):
                     still.append(i)
             base += len(steps)
         pending = still
-        start += width
-        width *= 2
     return out
 
 
@@ -290,6 +297,8 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
     f, c = [F[i] for i in idx], [C[i] for i in idx]
     H = np.tile(np.eye(nv), (len(idx), 1, 1))
     nu = [1.0] * len(idx)
+    # the ladder index of each member's last accepted step
+    last = [0] * len(idx)
     for it in range(controls.max_inner_steps):
         if not idx:
             break
@@ -316,7 +325,7 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             lams[r] = (0.0, 0.0)
         gp = (J[:, 0] * P).sum(axis=1).tolist()
         pn = np.sqrt((P * P).sum(axis=1)).tolist()
-        rows, ladders, nus, phi0, dphi = [], [], [], [], []
+        rows, ladders, widths, nus, phi0, dphi = [], [], [], [], [], []
         for r in range(len(idx)):
             if r in stopped:
                 continue
@@ -325,10 +334,12 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
                 continue
             rows.append(r)
             ladders.append(_RESTORE_STEPS if restoring[r] else _FULL_STEPS)
+            # a QP step's first round reaches one step past the last accepted one
+            widths.append(1 if restoring[r] else last[r] + 2)
             nus.append(nu[r])
             phi0.append(f[r] + nu[r] * viol0[r])
             dphi.append(min(gp[r] - nu[r] * viol0[r], -1e-16))
-        hits = dict(zip(rows, _line_search(ws, z, P, rows, ladders, nus, phi0, dphi)))
+        hits = dict(zip(rows, _line_search(ws, z, P, rows, ladders, widths, nus, phi0, dphi)))
         # a member stops with its iterate when no step passed, and after a negligible step
         keep = [r for r in rows if hits[r] is not None and hits[r][0] * pn[r] >= 1e-14]
         if len(keep) < len(idx):
@@ -341,6 +352,7 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             idx, nu, lams, restoring = ([v[r] for r in keep] for v in (idx, nu, lams, restoring))
             z, J, H = z[keep], J[keep], H[keep]
         alpha = [hits[r][0] for r in keep]
+        last = [hits[r][2] for r in keep]
         zn = np.array([hits[r][1] for r in keep])
         fn, cn, Jn = ws.evaluate(zn)
         # Damped BFGS on the Lagrangian gradient, applied to H = B^-1.

@@ -5,10 +5,13 @@ over every row-sparse support pattern with a general-purpose
 derivative-free optimizer, giving a solver-independent answer on tiny
 instances. Keep n at 2 or 3: the support count grows combinatorially.
 The row-thresholding reference works one row at a time, as the stacked
-solver.row_threshold must agree with it bit for bit.
+solver.row_threshold must agree with it bit for bit, and the doubling
+line search starts every member's search at a width of one, as the
+solver's windowed search must agree with it bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -17,7 +20,7 @@ from scipy.optimize import minimize
 
 from slcd import Hyperparams, SolverControls, objective, resolve_epsilons
 from slcd.objective import _Workspace
-from slcd.solver import REFERENCE_WEIGHT, _sqp
+from slcd.solver import _ARMIJO_C, REFERENCE_WEIGHT, _sqp
 
 
 def brute_force_best(X_raw: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -110,4 +113,37 @@ def row_threshold_loop(D, tau: int) -> np.ndarray:
     for i in range(D.shape[0]):
         keep = np.argsort(-np.abs(D[i]), kind="stable")[:tau]
         out[i, keep] = D[i, keep]
+    return out
+
+
+def line_search_doubling(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, dphi):
+    """The reference for solver._line_search: every member still
+    searching evaluates its next 1, then 2, then 4, ... steps in one
+    stacked call, whatever its width in widths, and takes the first
+    step that passes the Armijo test on the l1 merit. Returns, per
+    member, None or (alpha, trial point, index of alpha in its ladder)."""
+    out = [None] * len(rows)
+    pending = [i for i in range(len(rows)) if ladders[i]]
+    start, width = 0, 1
+    while pending:
+        trials = [ladders[i][start:start + width] for i in pending]
+        take = [rows[i] for i, steps in zip(pending, trials) for _ in steps]
+        alphas = [a for steps in trials for a in steps]
+        Zt = z.take(take, axis=0) + np.array(alphas)[:, None] * P.take(take, axis=0)
+        ft, ct, _ = ws.evaluate(Zt, jac=False)
+        ft, ct = ft.tolist(), ct.tolist()
+        base, still = 0, []
+        for i, steps in zip(pending, trials):
+            for t in range(base, base + len(steps)):
+                phin = ft[t] + nu[i] * (max(ct[t][0], 0.0) + max(ct[t][1], 0.0))
+                if math.isfinite(phin) and phin <= phi0[i] + _ARMIJO_C * alphas[t] * dphi[i]:
+                    out[i] = (alphas[t], Zt[t], start + t - base)
+                    break
+            else:
+                if start + width < len(ladders[i]):
+                    still.append(i)
+            base += len(steps)
+        pending = still
+        start += width
+        width *= 2
     return out

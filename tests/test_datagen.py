@@ -519,9 +519,10 @@ def test_malformed_piece_names_its_file_line(tmp_path, two_cpus) -> None:
 
 
 def test_import_loads_no_process_machinery() -> None:
-    """Importing slcd loads neither the CSV codec nor multiprocessing,
-    concurrent.futures or mmap: save_dataset, load_dataset and sweep()
-    import them when they run, so that the import stays short."""
+    """Importing slcd, or its command-line entry point slcd.cli, loads
+    neither the CSV codec nor multiprocessing, concurrent.futures or
+    mmap: save_dataset, load_dataset and sweep() import them when they
+    run, so that the import stays short."""
     import os
     import subprocess
     import sys
@@ -530,7 +531,7 @@ def test_import_loads_no_process_machinery() -> None:
 
     src = str(Path(slcd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, slcd; "
+    code = ("import sys, slcd, slcd.cli; "
             "print(sorted({'slcd._csvio', 'multiprocessing', 'concurrent.futures', 'mmap'}"
             " & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -33,7 +33,7 @@ from slcd import solver
 from slcd.objective import _Workspace
 from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
 from conftest import PAIR_SUM_ALIAS
-from oracle_utils import objective_of, row_threshold_loop, solve_relaxed
+from oracle_utils import line_search_doubling, objective_of, row_threshold_loop, solve_relaxed
 
 
 # ---------------------------------------------------------------- controls
@@ -449,31 +449,70 @@ class _ThresholdWorkspace:
         return np.where(Z[:, 0] <= Z[:, 1], 0.0, 1.0), np.full((len(Z), 2), -1.0), None
 
 
-def test_line_search_ladder_matches_sequential_halving() -> None:
-    # members first pass at trial 1 (alpha = 1), 3 (1/4) and 9 (1/256); the last never does
-    thresholds = [1.0, 0.3, 0.005, -1.0]
-    k = len(thresholds)
-    z = np.column_stack((np.zeros(k), thresholds))
+def _sequential_halving(thr: float, phi0: float, dphi: float):
+    """Plain Armijo backtracking from alpha = 1 on _ThresholdWorkspace's
+    merit: the first alpha that passes, or None."""
+    alpha = 1.0
+    while alpha > 1e-16:
+        if (0.0 if alpha <= thr else 1.0) <= phi0 + 1e-4 * alpha * dphi:
+            return alpha
+        alpha *= 0.5
+    return None
+
+
+def _rounds(width: int, last: int) -> int:
+    """Rounds a member of first width `width` needs to reach ladder index
+    `last` when each round doubles its width."""
+    rounds, covered = 1, width
+    while covered <= last:
+        width *= 2
+        covered += width
+        rounds += 1
+    return rounds
+
+
+# a threshold that first passes at ladder index j is 2^-j; -1 never passes
+_thresholds = st.one_of(st.just(-1.0), st.integers(0, 53).map(lambda j: 2.0**-j),
+                        st.floats(2.0**-60, 1.0))
+
+
+@given(st.lists(st.tuples(_thresholds, st.integers(1, 60)), min_size=1, max_size=6))
+def test_line_search_windows_match_sequential_halving(members) -> None:
+    thresholds = [t for t, _ in members]
+    widths = [w for _, w in members]
+    k = len(members)
+    # member i reads row rows[i] of z and P
+    rows = list(range(k))[::-1]
+    z = np.column_stack((np.zeros(k), thresholds[::-1]))
     P = np.tile([1.0, 0.0], (k, 1))
     steps = _ladder(1.0, 0.5)
     phi0, dphi = 1e-3, -1.0
-
-    def sequential(thr: float):
-        alpha = 1.0
-        while alpha > 1e-16:
-            if (0.0 if alpha <= thr else 1.0) <= phi0 + 1e-4 * alpha * dphi:
-                return alpha
-            alpha *= 0.5
-        return None
-
     ws = _ThresholdWorkspace()
-    found = _line_search(ws, z, P, list(range(k)), [steps] * k, [1.0] * k,
+    found = _line_search(ws, z, P, rows, [steps] * k, widths, [1.0] * k,
                          [phi0] * k, [dphi] * k)
-    alphas = [None if hit is None else hit[0] for hit in found]
-    assert alphas == [sequential(t) for t in thresholds] == [1.0, 0.25, 2.0**-8, None]
-    np.testing.assert_array_equal(found[2][1], [2.0**-8, 0.005])
+    lasts = []
+    for thr, hit in zip(thresholds, found):
+        alpha = _sequential_halving(thr, phi0, dphi)
+        if alpha is None:
+            assert hit is None
+            lasts.append(len(steps) - 1)
+            continue
+        assert hit[0] == alpha and steps[hit[2]] == alpha
+        np.testing.assert_array_equal(hit[1], [alpha, thr])
+        lasts.append(hit[2])
+    # every member searches until its own window covers its step
+    assert ws.calls == max(_rounds(w, j) for w, j in zip(widths, lasts))
+    if all(j < w for w, j in zip(widths, lasts)):
+        assert ws.calls == 1
+
+
+def test_line_search_full_ladder_at_width_one_takes_six_calls() -> None:
+    steps = _ladder(1.0, 0.5)
+    ws = _ThresholdWorkspace()
+    found = _line_search(ws, np.array([[0.0, -1.0]]), np.array([[1.0, 0.0]]), [0], [steps],
+                         [1], [1.0], [1e-3], [-1.0])
     # 54 trial steps in rounds of 1, 2, 4, ..., 32 instead of 54 calls
-    assert len(steps) == 54 and ws.calls == 6
+    assert found == [None] and len(steps) == 54 and ws.calls == 6
 
 
 def test_sqp_stack_members_independent() -> None:
@@ -491,6 +530,18 @@ def test_sqp_stack_members_independent() -> None:
     Dp, itp = _sqp(ws, starts[perm], ctl)
     assert itp == [its[i] for i in perm]
     assert Dp.tobytes() == D[perm].tobytes()
+
+
+def test_sqp_matches_doubling_search_from_width_one(monkeypatch) -> None:
+    _, ds, Sigma, sd, hp = _problem(2)
+    ws = _Workspace(ds.X @ ds.X.T, Sigma, sd, hp)
+    starts = np.random.default_rng(5).uniform(-1, 1, (6, 4, 4))
+    ctl = SolverControls(max_inner_steps=150)
+    D, its = _sqp(ws, starts, ctl)
+    monkeypatch.setattr(solver, "_line_search", line_search_doubling)
+    D_ref, its_ref = _sqp(ws, starts, ctl)
+    assert its == its_ref and min(its) > 0
+    assert D.tobytes() == D_ref.tobytes()
 
 
 def test_slcd_restart_records_independent_of_stack_size(ds2_data, monkeypatch) -> None:
