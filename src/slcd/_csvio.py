@@ -1,6 +1,6 @@
 """The dataset CSV codec: an n-by-m matrix as m lines of n
 comma-separated numbers with 17 significant digits, written and read in
-pieces on up to one process per usable CPU (see _workers).
+pieces on up to one process per usable CPU (see _fork._workers).
 
 datagen imports this module on the first save or load, so that importing
 slcd compiles and loads none of it.
@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import _usable_cpus
+from . import _fork
 
 # Samples formatted per write: large enough that the per-block Python
 # overhead vanishes, small enough that the block's text (about 0.6 MB at
@@ -29,47 +29,6 @@ _WRITE_BLOCK = 4096
 # and a file open.
 _WRITE_PIECE = 8 * _WRITE_BLOCK
 _READ_PIECE = 1 << 21
-
-# Set by _worker_init in each forked worker, never in the calling process.
-_worker_state = None
-
-
-def _worker_init(state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _worker_call(fn, args):
-    return fn(_worker_state, *args)
-
-
-def _workers(pieces: int) -> int:
-    """The number of processes to run the pieces on: min(pieces, usable
-    CPUs). 1, this process, when the platform cannot fork, when this
-    process is a daemonic pool worker, which may start no children, or
-    when it runs a Python thread besides this one, which may hold a lock
-    that a forked child would wait on for ever."""
-    workers = min(pieces, _usable_cpus())
-    if workers < 2:
-        return 1
-    import multiprocessing
-    import threading
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return 1
-    return workers
-
-
-def _pool(workers: int, state):
-    """A fork-context pool of workers processes, each holding state as
-    _worker_state: forked, they share it with this process, so nothing
-    is copied. Its exit terminates and joins them."""
-    import multiprocessing
-
-    return multiprocessing.get_context("fork").Pool(workers, _worker_init, (state,))
-
 
 def _write_samples(X: np.ndarray, start: int, stop: int, fh) -> None:
     """Write samples start..stop of X to the text file fh, _WRITE_BLOCK
@@ -97,7 +56,7 @@ def write(X: np.ndarray, path: str) -> None:
     this process holds no more text than one _WRITE_BLOCK."""
     m = X.shape[1]
     pieces = [(start, min(start + _WRITE_PIECE, m)) for start in range(0, m, _WRITE_PIECE)]
-    workers = _workers(len(pieces))
+    workers = _fork._workers(len(pieces))
     if workers == 1:
         _write_part(X, 0, m, path)
         return
@@ -106,10 +65,10 @@ def write(X: np.ndarray, path: str) -> None:
     # when the directory is removed
     with open(path, "wb") as fh, \
             tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as parts, \
-            _pool(workers, X) as pool:
+            _fork._pool(workers, X) as pool:
         tasks = [(start, stop, os.path.join(parts, f"{k}.csv"))
                  for k, (start, stop) in enumerate(pieces)]
-        for part in pool.imap(partial(_worker_call, _write_part), tasks):
+        for part in pool.imap(partial(_fork._worker_call, _write_part), tasks):
             with open(part, "rb") as src:
                 shutil.copyfileobj(src, fh)
             os.remove(part)
@@ -223,9 +182,9 @@ def read(path: str) -> np.ndarray:
             tasks.append((start, stop, line, row, rows))
         line, row = line + lines, row + rows
     state = (path, n, X)
-    workers = _workers(len(tasks))
-    with _pool(workers, state) if workers > 1 else contextlib.nullcontext() as pool:
-        faults = (pool.imap(partial(_worker_call, _parse_piece), tasks) if pool
+    workers = _fork._workers(len(tasks))
+    with _fork._pool(workers, state) if workers > 1 else contextlib.nullcontext() as pool:
+        faults = (pool.imap(partial(_fork._worker_call, _parse_piece), tasks) if pool
                   else (_parse_piece(state, *task) for task in tasks))
         fault = next((f for f in faults if f is not None), None)
     if fault is not None:

@@ -224,15 +224,6 @@ def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return Sigma, np.diag(Sigma).copy()
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on, which bounds the
-    processes that the CSV codec and sweep() start."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # the platform cannot tell; take them all
-        return os.cpu_count() or 1
-
-
 def _sidecar_path(csv_path: str) -> str:
     root, _ = os.path.splitext(csv_path)
     return root + ".json"

@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import _as_dataset, _usable_cpus, builtin_spec, sample, sample_covariance
+from ._fork import _usable_cpus
+from .datagen import _as_dataset, builtin_spec, sample, sample_covariance
 from .objective import Hyperparams
 from .scm_core import EdgeSet, _matrix_entries, true_edges
 from .solver import DiscoveryResult, SolverAbort, SolverControls, slcd
@@ -245,8 +246,10 @@ def sweep(dataset_id: int,
     solver seed derived deterministically from controls.seed and the
     cell index, so results do not depend on execution order or on jobs.
     With jobs > 1 the cells run in min(jobs, cells, usable CPUs) spawned
-    worker processes, so a script that calls this at its top level needs
-    the usual ``if __name__ == "__main__":`` guard.
+    worker processes, each of which solves its cells' restarts itself
+    rather than forking more (see _fork._workers), so a script that
+    calls this at its top level needs the usual
+    ``if __name__ == "__main__":`` guard.
     A cell whose solve aborts is recorded with its error and the sweep
     continues.
     """

@@ -87,6 +87,9 @@ class Hyperparams:
         _require_integer(tau=self.tau, iterations=self.iterations, restarts=self.restarts)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # the surrogates divide by sigma^2, which must not round to 0
+        if self.sigma < 1e-154:
+            raise ValueError(f"sigma must be at least 1e-154, got {self.sigma}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.tau < 1:

@@ -35,10 +35,15 @@ step's first window holds one step, and each later window is twice the
 one before: a search that accepts a step no more than one halving
 below its last ends in one round. Every row is computed on its own, so
 a restart's iterates are bit-identical whatever the stack it runs in.
-The rounds of slcd() work on the same stack: after each solve, one
-row_threshold call thresholds all restarts and one evaluation scores
-them, and a restart's wall_ms is its share of the run's time by SQP
-iterations.
+slcd() uses that to solve each round on one forked process per usable
+CPU, each with a block of at least _MIN_BLOCK restarts: the pool is
+forked once per call, after the Gram workspace is built, which the
+workers then share, and each worker solves one contiguous block of the
+restart stack. The blocks are joined in restart order, and the calling
+process thresholds all restarts with one row_threshold call and scores
+them with one evaluation. Where no pool may start (see _fork._workers)
+the whole stack is solved in the calling process, to the same bits. A
+restart's wall_ms is its share of the run's time by SQP iterations.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -46,12 +51,15 @@ structure's basin.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import _fork
 from .datagen import _as_dataset, center
 from .objective import Hyperparams, _require_integer, _Workspace, resolve_epsilons
 from .scm_core import StructuralMatrix
@@ -82,6 +90,15 @@ _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _RESTORE_STEP = 1e-2
 _GRAD_TOL = 1e-6
+
+# The fewest restarts that slcd() hands one worker process. A stack's
+# cost per lockstep iteration is mostly a fixed dispatch cost, so a
+# smaller block saves less than the pool costs. On 2 CPUs at m = 1000,
+# two processes took about 1.2 times as long as one on 2 or 3 restarts
+# (datasets 2 and 5), about as long on 6 or 8, 0.95 times on 10
+# (dataset 2), and 0.97 (dataset 2) to 0.74 (dataset 4) times as long on
+# the default 20.
+_MIN_BLOCK = 5
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,8 @@ class SolverControls:
 class RestartRecord:
     """Diagnostics for one restart: its best candidate's score and
     residuals, the running minimum after it, and the work spent.
-    Restarts are solved in one stack, so wall_ms is the run's wall_ms
+    Restarts are solved in stacks, one per process, so a restart's own
+    time is not measured: wall_ms is the run's wall_ms
     times the restart's share of all SQP iterations (an even share when
     no restart iterated); the restarts' wall_ms add up to the run's."""
 
@@ -405,6 +423,19 @@ def row_threshold(D, tau: int) -> np.ndarray:
     return out
 
 
+def _sqp_blocks(pool, blocks: int, ws: _Workspace, D: np.ndarray,
+                controls: SolverControls) -> tuple[np.ndarray, list[int]]:
+    """_sqp on the stack D: in this process when pool is None, else on the
+    pool's workers, whose _worker_state is ws, one contiguous block of D
+    each, with the iterates and iteration counts joined in stack order.
+    Each member is computed on its own, so both give the same bits."""
+    if pool is None:
+        return _sqp(ws, D, controls)
+    parts = pool.map(partial(_fork._worker_call, _sqp),
+                     [(block, controls) for block in np.array_split(D, blocks)])
+    return np.concatenate([Z for Z, _ in parts]), [it for _, its in parts for it in its]
+
+
 def _records(seed: int, best_j, best_res, iters, wall, why: str) -> list[RestartRecord]:
     """The restart log from per-restart arrays: the best score best_j,
     its (recon, cov) residuals best_res, the SQP iterations and the wall
@@ -431,11 +462,16 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     and controls.seed: restart r draws its start from
     SeedSequence(entropy=controls.seed, spawn_key=(r,)).
 
-    In each round one stacked solve moves all restarts, one stacked call
-    thresholds them and one more scores them. A restart's wall_ms is the
-    run's wall_ms times its share of all SQP iterations (an even share
-    when no restart iterated), so the restarts' wall_ms add up to the
-    result's wall_ms.
+    The restarts are solved on min(hp.restarts // _MIN_BLOCK, usable
+    CPUs) processes, forked once per call: in each round every process
+    advances one contiguous block of the restart stack, and then one
+    stacked call in this process thresholds all restarts and one more
+    scores them. The result is the same bits on any number of processes;
+    one process, this one, runs the solves when that number is 1 or a
+    pool cannot or should not start (see _fork._workers). A restart's
+    wall_ms is the run's wall_ms times its share of all SQP iterations
+    (an even share when no restart iterated), so the restarts' wall_ms
+    add up to the result's wall_ms.
     """
     ds = _as_dataset(data)
     if ds.m < 2:
@@ -467,17 +503,19 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     t_start = time.perf_counter()
     seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
     D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
-    for _ in range(hp_res.iterations):
-        D, its = _sqp(ws, D, controls)
-        iters += its
-        D = row_threshold(D, tau_eff)
-        f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
-        # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
-        # residual in the score, where Python's max(0.0, nan) is 0.0
-        h = np.maximum(c, 0.0)
-        j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
-        better = np.isfinite(j) & (j < best_j)
-        best_j[better], best_d[better], best_res[better] = j[better], D[better], c[better] + ws.eps
+    workers = _fork._workers(R // _MIN_BLOCK)
+    with _fork._pool(workers, ws) if workers > 1 else contextlib.nullcontext() as pool:
+        for _ in range(hp_res.iterations):
+            D, its = _sqp_blocks(pool, workers, ws, D, controls)
+            iters += its
+            D = row_threshold(D, tau_eff)
+            f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
+            # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
+            # residual in the score, where Python's max(0.0, nan) is 0.0
+            h = np.maximum(c, 0.0)
+            j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
+            better = np.isfinite(j) & (j < best_j)
+            best_j[better], best_d[better], best_res[better] = j[better], D[better], c[better] + ws.eps
     wall_ms = (time.perf_counter() - t_start) * 1000.0
 
     total = iters.sum()

@@ -1,6 +1,9 @@
 """Shared fixtures: small benchmark samples, the non-uniqueness
-fixture model, and a hypothesis profile sized for CI."""
+fixture model, a hypothesis profile sized for CI, and a check that no
+test leaves a child process behind."""
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,18 @@ settings.register_profile(
     "ci", max_examples=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running: the CSV codec,
+    slcd() and sweep() start processes only while a call runs. Nothing
+    can have started one before multiprocessing is loaded."""
+    yield
+    if "multiprocessing" in sys.modules:
+        left = sys.modules["multiprocessing"].active_children()
+        if left:
+            pytest.fail(f"child processes left running: {left}")
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +69,12 @@ def pair_sum_spec() -> ScmSpec:
 @pytest.fixture(scope="session")
 def pair_sum_data(pair_sum_spec) -> Dataset:
     return sample(pair_sum_spec, 1000, 0)
+
+
+def without_wall(records) -> list[dict]:
+    """Restart records as JSON, NaN as None, without wall_ms: what two
+    runs of the same solve must agree on."""
+    return [{k: v for k, v in r.to_json().items() if k != "wall_ms"} for r in records]
 
 
 # An alternative matrix with zero reconstruction residual on pair_sum

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import warnings
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -260,12 +261,10 @@ def test_malformed_line_past_the_first_piece(tmp_path, capsys, monkeypatch, name
     """Each MALFORMED_CSV case after 30 good rows, read in 16-byte pieces
     on two processes: the API raises a ValueError that names the bad
     line of the file, and discover exits 3 with it."""
-    import multiprocessing
-
-    from slcd import _csvio
+    from slcd import _csvio, _fork
 
     monkeypatch.setattr(_csvio, "_READ_PIECE", 16)
-    monkeypatch.setattr(_csvio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     line = MALFORMED_LINE[name]
     prefix = "" if line is None else "1,2,3\n" * 30
     bad = tmp_path / "bad.csv"
@@ -278,7 +277,6 @@ def test_malformed_line_past_the_first_piece(tmp_path, capsys, monkeypatch, name
     assert run("discover", "--data", str(bad), "--restarts", "1", "--iterations", "1",
                "--out", str(tmp_path / "result.json")) == 3
     assert f"malformed dataset: {expected}" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
 
 
 def test_single_sample_dataset_is_io_error(tmp_path, capsys) -> None:
@@ -787,3 +785,74 @@ def test_repro_gate_needs_links_and_coefficients(tmp_path, monkeypatch, capsys, 
 
 def test_repro_rejects_unknown_mode(tmp_path) -> None:
     assert run("repro", "tables", "--out-dir", str(tmp_path)) == 2
+
+
+# ------------------------------------------------------------ fuzzed settings
+
+# Any JSON value, with integers small enough that a run whose settings
+# all pass stays short.
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=2),
+    max_leaves=4)
+_FINITE = partial(st.floats, allow_nan=False, allow_infinity=False)
+# A valid value for each config key, as JSON; the solve stays short.
+_VALID = {
+    "seed": st.integers(0, 2 ** 64), "sigma": _FINITE(1e-3, 10.0), "lambda": _FINITE(0.0, 100.0),
+    "tau": st.integers(1, 5), "eps1": st.none() | _FINITE(0.0, 10.0),
+    "eps2": st.none() | _FINITE(0.0, 10.0), "iterations": st.integers(1, 2),
+    "restarts": st.integers(1, 8), "theta": _FINITE(1e-3, 1.0), "m": st.integers(2, 10 ** 6),
+    "jobs": st.integers(1, 4), "dataset": st.integers(1, 5),
+    "sigma_grid": st.lists(_FINITE(1e-3, 10.0), min_size=1, max_size=2, unique=True),
+    "lambda_grid": st.lists(_FINITE(0.0, 100.0), min_size=1, max_size=2, unique=True),
+    "controls": st.fixed_dictionaries({}, optional={"max_inner_steps": st.integers(1, 20)}),
+}
+_CONFIG = st.lists(st.sampled_from(sorted(cli._CONFIG_KEYS) + ["unknown"]).flatmap(
+    lambda key: st.tuples(st.just(key), st.one_of(_VALID.get(key, st.nothing()), _JSON_VALUE))),
+    max_size=3).map(dict)
+# Flag text: a valid value, or numbers in any spelling but those of large
+# integers (no decimal digit outside the listed strings), so a run stays
+# short too.
+_FLAG_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "-1", "2.5", "1e-9", "1e-300", "1e300", "1e400", "nan",
+                     "inf", "-inf", "x", "", " 1", "0x1", "1_0"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4))
+_FLAGS = st.lists(st.sampled_from(
+    ["seed", "sigma", "lambda", "tau", "eps1", "eps2", "iterations", "restarts", "theta",
+     "unknown"]).flatmap(lambda key: st.tuples(
+        st.just(cli._flag(key)),
+        st.one_of(_VALID.get(key, st.nothing()).filter(lambda v: v is not None).map(str),
+                  _FLAG_TEXT))),
+    max_size=3)
+
+
+@settings(max_examples=60)
+@given(config=st.one_of(_CONFIG, st.text(max_size=8)), flags=_FLAGS)
+def test_fuzzed_discover_settings_exit_cleanly(ds2_csv, tmp_path_factory, config, flags) -> None:
+    """discover with any config file and flags exits 0, 2, 3 or 4 and
+    prints no traceback. The config starts from 2 restarts of 1 round of
+    at most 20 SQP steps, which drawn keys replace.
+
+    main() runs under Python's default action for RuntimeWarning, as the
+    installed command does, not under this suite's "error": accepted but
+    extreme settings, such as a lambda of 1e300, overflow in the solve,
+    which then warns and goes on."""
+    import contextlib
+    import io
+
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "config.json"
+    if isinstance(config, dict):
+        config = json.dumps({"restarts": 2, "iterations": 1,
+                             "controls": {"max_inner_steps": 20}, **config})
+    path.write_text(config, encoding="utf-8", errors="surrogatepass")
+    argv = ["discover", "--data", ds2_csv, "--out", str(work / "out.json"), "--config", str(path)]
+    argv += [part for flag, value in flags for part in (flag, value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, config, err.getvalue())
+    assert "Traceback" not in err.getvalue()

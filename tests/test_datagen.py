@@ -28,7 +28,7 @@ from slcd import (
     save_dataset,
     slcd,
 )
-from slcd import _csvio
+from slcd import _csvio, _fork
 
 UNIFORM_VARIANCE = 25.0 / 12.0
 
@@ -356,20 +356,19 @@ def test_center_allocates_the_result_once() -> None:
 
 @pytest.fixture()
 def two_cpus():
-    """The codec's CPU count set to 2, so that more than one piece runs on
-    a pool on any host; yields a spy on _csvio._pool. Afterwards no pool
-    process is left and no ResourceWarning was issued."""
+    """The usable CPU count set to 2, so that more than one piece runs on
+    a pool on any host; yields a spy on _fork._pool. Afterwards no
+    ResourceWarning was issued (conftest checks that no pool process is
+    left)."""
     import gc
-    import multiprocessing
     import warnings
 
     with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(_csvio, "_usable_cpus", return_value=2), \
-            mock.patch.object(_csvio, "_pool", wraps=_csvio._pool) as pool:
+            mock.patch.object(_fork, "_usable_cpus", return_value=2), \
+            mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
         warnings.simplefilter("always", ResourceWarning)
         yield pool
         gc.collect()
-    assert multiprocessing.active_children() == []
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
@@ -436,16 +435,13 @@ def test_csv_round_trip_in_pieces_is_bit_identical(tmp_path, two_cpus) -> None:
 def test_more_processes_than_cpus_write_disjoint_columns(tmp_path) -> None:
     """Six processes on small pieces share X and the output: every piece
     lands in its own columns and its own place in the file."""
-    import multiprocessing
-
     ds = sample(builtin_spec(4), 2000, 5)
-    with mock.patch.object(_csvio, "_usable_cpus", return_value=6), \
+    with mock.patch.object(_fork, "_usable_cpus", return_value=6), \
             mock.patch.object(_csvio, "_WRITE_PIECE", 97), mock.patch.object(_csvio, "_READ_PIECE", 999):
         csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
         back = load_dataset(csv_path)
     assert Path(csv_path).read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ds.X)
     assert back.X.tobytes() == ds.X.tobytes()
-    assert multiprocessing.active_children() == []
 
 
 def test_unwritable_path_is_reported_under_its_name(tmp_path, two_cpus) -> None:
@@ -458,8 +454,8 @@ def test_unwritable_path_is_reported_under_its_name(tmp_path, two_cpus) -> None:
 
 def test_one_cpu_runs_the_pieces_in_process(tmp_path) -> None:
     ds = sample(builtin_spec(2), 500, 3)
-    with mock.patch.object(_csvio, "_usable_cpus", return_value=1), \
-            mock.patch.object(_csvio, "_pool") as pool, \
+    with mock.patch.object(_fork, "_usable_cpus", return_value=1), \
+            mock.patch.object(_fork, "_pool") as pool, \
             mock.patch.object(_csvio, "_WRITE_PIECE", 64), mock.patch.object(_csvio, "_READ_PIECE", 512):
         csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
         back = load_dataset(csv_path)

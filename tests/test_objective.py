@@ -66,6 +66,10 @@ def test_hyperparams_defaults() -> None:
 def test_hyperparams_validation() -> None:
     with pytest.raises(ValueError):
         Hyperparams(sigma=0.0)
+    # sigma^2 would round to 0, and the solve divides by it
+    with pytest.raises(ValueError, match="at least 1e-154"):
+        Hyperparams(sigma=1e-300)
+    assert Hyperparams(sigma=1e-154).sigma == 1e-154
     with pytest.raises(ValueError):
         Hyperparams(lam=-1.0)
     with pytest.raises(ValueError):

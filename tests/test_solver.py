@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,20 +20,22 @@ from slcd import (
     VariableDef,
     builtin_spec,
     center,
+    load_dataset,
     objective,
     residuals,
     resolve_epsilons,
     row_threshold,
     sample,
     sample_covariance,
+    save_dataset,
     slcd,
     smoothed_rank,
     smoothed_trace,
 )
-from slcd import solver
+from slcd import _csvio, _fork, solver
 from slcd.objective import _Workspace
 from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
-from conftest import PAIR_SUM_ALIAS
+from conftest import PAIR_SUM_ALIAS, without_wall
 from oracle_utils import line_search_doubling, objective_of, row_threshold_loop, solve_relaxed
 
 
@@ -565,6 +568,65 @@ def test_slcd_restart_records_independent_of_stack_size(ds2_data, monkeypatch) -
     for a, b in zip(small.restarts, large.restarts[:3]):
         assert (a.objective, a.iterations, a.recon_residual) == (
             b.objective, b.iterations, b.recon_residual)
+
+
+@pytest.mark.parametrize("restarts", [20, 11, 3, 1])
+def test_slcd_on_two_processes_matches_one(ds2_data, restarts) -> None:
+    """With two usable CPUs the rounds are solved on a pool, in blocks of
+    restarts that are uneven at 11, and in this process below two blocks
+    of _MIN_BLOCK: D_opt, J_min and every record but wall_ms are the bits
+    of a one-CPU run. No ResourceWarning is issued (and conftest checks
+    that no pool process is left)."""
+    import gc
+    import warnings
+
+    hp = Hyperparams(restarts=restarts)
+    runs = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for cpus in (1, 2):
+            with mock.patch.object(_fork, "_usable_cpus", return_value=cpus), \
+                    mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
+                runs[cpus] = slcd(ds2_data, hp)
+            assert pool.call_count == (cpus == 2 and restarts >= 2 * solver._MIN_BLOCK)
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    one, two = runs[1], runs[2]
+    assert two.D_opt.tobytes() == one.D_opt.tobytes()
+    assert two.J_min == one.J_min
+    assert without_wall(two.restarts) == without_wall(one.restarts)
+
+
+_CHILD_HP = Hyperparams(restarts=10, iterations=2)
+
+
+def _pools_started_in_a_child(path: str) -> tuple[int, bytes, bytes]:
+    """In a process that multiprocessing started: the pools that slcd()
+    on 10 restarts and a load in pieces start with two usable CPUs, and
+    their results."""
+    with mock.patch.object(_fork, "_usable_cpus", return_value=2), \
+            mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool, \
+            mock.patch.object(_csvio, "_READ_PIECE", 256):
+        result = slcd(sample(builtin_spec(2), 300, 0), _CHILD_HP)
+        X = load_dataset(path).X
+    return pool.call_count, result.D_opt.tobytes(), X.tobytes()
+
+
+def test_spawned_child_starts_no_pool(tmp_path) -> None:
+    """A worker of sweep(jobs > 1) is a spawned, non-daemonic child whose
+    siblings already keep the CPUs busy: neither the solver nor the CSV
+    codec starts a pool in it, and it gets the same results."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    path = str(tmp_path / "d.csv")
+    save_dataset(sample(builtin_spec(3), 400, 2), path)
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("spawn")) as child:
+        pools, D_opt, X = child.submit(_pools_started_in_a_child, path).result(timeout=300)
+    assert pools == 0
+    assert D_opt == slcd(sample(builtin_spec(2), 300, 0), _CHILD_HP).D_opt.tobytes()
+    assert X == load_dataset(path).X.tobytes()
 
 
 def test_restart_wall_ms_partitions_total(ds2_data, fast_hp) -> None:
