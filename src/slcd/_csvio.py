@@ -68,7 +68,7 @@ def write(X: np.ndarray, path: str) -> None:
             _fork._pool(workers, X) as pool:
         tasks = [(start, stop, os.path.join(parts, f"{k}.csv"))
                  for k, (start, stop) in enumerate(pieces)]
-        for part in pool.imap(partial(_fork._worker_call, _write_part), tasks):
+        for part in pool.map(partial(_fork._worker_call, _write_part), tasks):
             with open(part, "rb") as src:
                 shutil.copyfileobj(src, fh)
             os.remove(part)
@@ -184,7 +184,7 @@ def read(path: str) -> np.ndarray:
     state = (path, n, X)
     workers = _fork._workers(len(tasks))
     with _fork._pool(workers, state) if workers > 1 else contextlib.nullcontext() as pool:
-        faults = (pool.imap(partial(_fork._worker_call, _parse_piece), tasks) if pool
+        faults = (pool.map(partial(_fork._worker_call, _parse_piece), tasks) if pool
                   else (_parse_piece(state, *task) for task in tasks))
         fault = next((f for f in faults if f is not None), None)
     if fault is not None:

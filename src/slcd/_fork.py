@@ -10,7 +10,11 @@ slcd stays short.
 """
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
+
+import numpy as np
 
 # Set by _worker_init in each forked worker, never in the calling process.
 _worker_state = None
@@ -34,16 +38,40 @@ def _worker_call(fn, args):
     return fn(_worker_state, *args)
 
 
-def _workers(tasks: int) -> int:
+def _blas_forks_safely() -> bool:
+    """Whether a forked child may call numpy's BLAS and LAPACK: on Linux,
+    with an OpenBLAS that runs its own pthreads, as in numpy's Linux
+    wheels, which shuts its threads down before a fork. Read from numpy's
+    build record (numpy 1.26 and later); an OpenBLAS built on OpenMP
+    names USE_OPENMP in its configuration. Where numpy keeps no such
+    record, or names another BLAS (Accelerate in numpy's macOS wheels,
+    MKL), the answer is no: a child that calls those after a fork is known
+    to hang or crash."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):   # no build record, as before numpy 1.26
+        return False
+    for lib in ("blas", "lapack"):
+        info = deps.get(lib, {})
+        config = info.get("openblas configuration")
+        if "openblas" not in info.get("name", "").lower() or not config or "USE_OPENMP" in config:
+            return False
+    return True
+
+
+def _workers(tasks: int, blas: bool = False) -> int:
     """The number of processes to run the tasks on: min(tasks, usable
-    CPUs). 1, this process, when the platform cannot fork; when this
-    process was itself started by multiprocessing, such as a pool worker,
-    which may start no children, or a worker of sweep(jobs > 1), whose
-    siblings already keep the CPUs busy; or when it runs a Python thread
-    besides this one, which may hold a lock that a forked child would
-    wait on for ever."""
+    CPUs). 1, this process, when the platform cannot fork; when the tasks
+    call BLAS and numpy's BLAS is not known to survive a fork (blas=True,
+    see _blas_forks_safely); when this process was itself started by
+    multiprocessing, such as a pool worker, which may start no children,
+    or a worker of sweep(jobs > 1), whose siblings already keep the CPUs
+    busy; or when it runs a Python thread besides this one, which may
+    hold a lock that a forked child would wait on for ever."""
     workers = min(tasks, _usable_cpus())
-    if workers < 2:
+    if workers < 2 or (blas and not _blas_forks_safely()):
         return 1
     import multiprocessing
     import threading
@@ -55,10 +83,20 @@ def _workers(tasks: int) -> int:
     return workers
 
 
+@contextlib.contextmanager
 def _pool(workers: int, state):
-    """A fork-context pool of workers processes, each holding state as
-    _worker_state: forked, they share it with this process, so nothing
-    is copied. Its exit terminates and joins them."""
+    """A fork-context ProcessPoolExecutor of workers processes, each
+    holding state as _worker_state: forked, they share it with this
+    process, so nothing is copied. A worker that dies, killed or crashed,
+    fails every task not yet done with BrokenProcessPool rather than
+    leaving the caller waiting. Its exit drops the tasks not yet started
+    and joins the workers."""
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    return multiprocessing.get_context("fork").Pool(workers, _worker_init, (state,))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _worker_init, (state,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)

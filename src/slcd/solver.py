@@ -97,7 +97,8 @@ _GRAD_TOL = 1e-6
 # two processes took about 1.2 times as long as one on 2 or 3 restarts
 # (datasets 2 and 5), about as long on 6 or 8, 0.95 times on 10
 # (dataset 2), and 0.97 (dataset 2) to 0.74 (dataset 4) times as long on
-# the default 20.
+# the default 20. Only 2 CPUs were measured: the blocks of 5 that 20
+# restarts make on 4 or more CPUs are unmeasured.
 _MIN_BLOCK = 5
 
 
@@ -431,8 +432,8 @@ def _sqp_blocks(pool, blocks: int, ws: _Workspace, D: np.ndarray,
     Each member is computed on its own, so both give the same bits."""
     if pool is None:
         return _sqp(ws, D, controls)
-    parts = pool.map(partial(_fork._worker_call, _sqp),
-                     [(block, controls) for block in np.array_split(D, blocks)])
+    parts = list(pool.map(partial(_fork._worker_call, _sqp),
+                          [(block, controls) for block in np.array_split(D, blocks)]))
     return np.concatenate([Z for Z, _ in parts]), [it for _, its in parts for it in its]
 
 
@@ -468,10 +469,12 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     stacked call in this process thresholds all restarts and one more
     scores them. The result is the same bits on any number of processes;
     one process, this one, runs the solves when that number is 1 or a
-    pool cannot or should not start (see _fork._workers). A restart's
-    wall_ms is the run's wall_ms times its share of all SQP iterations
-    (an even share when no restart iterated), so the restarts' wall_ms
-    add up to the result's wall_ms.
+    pool cannot or should not start (see _fork._workers), as where
+    numpy's BLAS is not known to survive a fork. A worker that dies
+    fails the call with concurrent.futures.process.BrokenProcessPool.
+    A restart's wall_ms is the run's wall_ms times its share of all SQP
+    iterations (an even share when no restart iterated), so the
+    restarts' wall_ms add up to the result's wall_ms.
     """
     ds = _as_dataset(data)
     if ds.m < 2:
@@ -503,7 +506,7 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     t_start = time.perf_counter()
     seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
     D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
-    workers = _fork._workers(R // _MIN_BLOCK)
+    workers = _fork._workers(R // _MIN_BLOCK, blas=True)
     with _fork._pool(workers, ws) if workers > 1 else contextlib.nullcontext() as pool:
         for _ in range(hp_res.iterations):
             D, its = _sqp_blocks(pool, workers, ws, D, controls)

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from unittest import mock
 
@@ -588,13 +591,71 @@ def test_slcd_on_two_processes_matches_one(ds2_data, restarts) -> None:
             with mock.patch.object(_fork, "_usable_cpus", return_value=cpus), \
                     mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
                 runs[cpus] = slcd(ds2_data, hp)
-            assert pool.call_count == (cpus == 2 and restarts >= 2 * solver._MIN_BLOCK)
+            assert pool.call_count == (cpus == 2 and restarts >= 2 * solver._MIN_BLOCK
+                                       and _fork._blas_forks_safely())
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
     one, two = runs[1], runs[2]
     assert two.D_opt.tobytes() == one.D_opt.tobytes()
     assert two.J_min == one.J_min
     assert without_wall(two.restarts) == without_wall(one.restarts)
+
+
+def _killed_sqp(ws, D, controls):
+    """An _sqp whose process is killed, as the kernel's OOM killer would."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_dead_worker_fails_the_call(ds2_data, monkeypatch) -> None:
+    """A solver worker that dies fails slcd() with BrokenProcessPool
+    instead of leaving it waiting for ever; an alarm fails the test if
+    the call hangs. The killed worker calls no BLAS, so the pool may start
+    whatever numpy's BLAS."""
+    def hung(signum, frame):
+        raise TimeoutError("slcd() waits on a dead worker")
+
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_blas_forks_safely", lambda: True)
+    monkeypatch.setattr(solver, "_sqp", _killed_sqp)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            slcd(ds2_data, Hyperparams(restarts=2 * solver._MIN_BLOCK, iterations=1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_BUILD_RECORD = {"name": "scipy-openblas", "openblas configuration":
+                 "OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64"}
+
+
+@pytest.mark.parametrize("platform, record, safe", [
+    ("linux", _BUILD_RECORD, True),
+    ("darwin", _BUILD_RECORD, False),
+    ("linux", {**_BUILD_RECORD, "openblas configuration": "OpenBLAS 0.3.21 USE_OPENMP Haswell"}, False),
+    ("linux", {"name": "accelerate"}, False),
+    ("linux", {"name": "mkl-sdl"}, False),
+    ("linux", {"name": "openblas"}, False),
+    ("linux", None, False),
+])
+def test_blas_forks_safely_reads_numpys_build(monkeypatch, platform, record, safe) -> None:
+    """The solver forks only onto a pthreads OpenBLAS on Linux; a BLAS
+    built on OpenMP, another BLAS, a record without OpenBLAS's
+    configuration, or a numpy without a build record (None: an older
+    show_config takes no mode) keeps the solve in this process."""
+    def show_config(mode):
+        if record is None:
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+        return {"Build Dependencies": {"blas": record, "lapack": record}}
+
+    monkeypatch.setattr(_fork.sys, "platform", platform)
+    monkeypatch.setattr(_fork.np, "show_config", show_config)
+    assert _fork._blas_forks_safely() is safe
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    assert _fork._workers(4, blas=True) == (2 if safe else 1)
+    assert _fork._workers(4) == 2
 
 
 _CHILD_HP = Hyperparams(restarts=10, iterations=2)
