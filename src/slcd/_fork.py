@@ -1,5 +1,6 @@
-"""Pools of forked worker processes, shared by the CSV codec (_csvio) and
-the restart rounds of solver.slcd().
+"""Pools of forked worker processes, shared by the CSV codec (_csvio),
+the restart rounds of solver.slcd() and the grid cells of
+evaluation.sweep().
 
 A pool forks its workers from the calling process, so each one starts
 with the caller's state object in shared memory and nothing of it is
@@ -66,10 +67,11 @@ def _workers(tasks: int, blas: bool = False) -> int:
     CPUs). 1, this process, when the platform cannot fork; when the tasks
     call BLAS and numpy's BLAS is not known to survive a fork (blas=True,
     see _blas_forks_safely); when this process was itself started by
-    multiprocessing, such as a pool worker, which may start no children,
-    or a worker of sweep(jobs > 1), whose siblings already keep the CPUs
-    busy; or when it runs a Python thread besides this one, which may
-    hold a lock that a forked child would wait on for ever."""
+    multiprocessing, such as a worker of one of these pools, whose
+    siblings already keep the CPUs busy, or a daemonic pool worker, which
+    may start no children; or when it runs a Python thread besides this
+    one, which may hold a lock that a forked child would wait on for
+    ever."""
     workers = min(tasks, _usable_cpus())
     if workers < 2 or (blas and not _blas_forks_safely()):
         return 1

@@ -157,7 +157,6 @@ _SETTINGS = {
     "m": (partial(_scalar, int, 2), 1000),
     "seed": (partial(_scalar, int, 0), 0),
     "theta": (partial(_scalar, float, 0), DEFAULT_THETA),
-    "jobs": (partial(_scalar, int, 1), 1),
     "dataset": (partial(_scalar, int, 0), None),
     "sigma_grid": (_grid, DEFAULT_SIGMA_GRID),
     "lambda_grid": (_grid, DEFAULT_LAMBDA_GRID),
@@ -347,8 +346,8 @@ def _run_sweep(dataset: int, out, args) -> tuple[int, int, int]:
     an unwritable out an I/O error."""
     try:
         result = sweep(dataset, hp=args.hp, controls=args.controls, data_seed=args.seed,
-                       theta=args.theta, m=args.m, jobs=args.jobs,
-                       sigma_grid=args.sigma_grid, lambda_grid=args.lambda_grid)
+                       theta=args.theta, m=args.m, sigma_grid=args.sigma_grid,
+                       lambda_grid=args.lambda_grid)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     try:
@@ -562,7 +561,6 @@ _FLAGS = {
     "sigma_grid": dict(metavar="LIST", help="comma-separated sigma values (repro: figures)"),
     "lambda_grid": dict(metavar="LIST", help="comma-separated lambda values (repro: figures)"),
     "m": dict(type=int, help="sample count (default 1000)"),
-    "jobs": dict(type=int, help="worker processes for sweep cells (default 1)"),
     "out": dict(metavar="FILE", help="output file (discover: default <data>.result.json)"),
     "out_dir": dict(default="repro_out", metavar="DIR", help="directory for report files"),
     "config": dict(metavar="FILE", help="JSON config file; flags override its values"),
@@ -586,9 +584,9 @@ _COMMANDS = {
     "evaluate": (cmd_evaluate, "score an estimate against a known model",
                  ("result", "data", "dataset", "spec", "out", "theta", "config")),
     "sweep": (cmd_sweep, "grid-run discovery over hyperparameters",
-              ("dataset", "sigma_grid", "lambda_grid", "m", "jobs", "out", "config", *_SOLVE)),
+              ("dataset", "sigma_grid", "lambda_grid", "m", "out", "config", *_SOLVE)),
     "repro": (cmd_repro, "re-run the built-in benchmarks against the reference results",
-              ("which", "out_dir", "datasets", "m", "jobs", "sigma_grid", "lambda_grid",
+              ("which", "out_dir", "datasets", "m", "sigma_grid", "lambda_grid",
                "config", *_SOLVE)),
 }
 

@@ -7,6 +7,7 @@ precision/recall of the extracted edge set against the true links.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -14,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from ._fork import _usable_cpus
+from . import _fork
 from .datagen import _as_dataset, builtin_spec, sample, sample_covariance
 from .objective import Hyperparams
 from .scm_core import EdgeSet, _matrix_entries, true_edges
@@ -212,7 +213,8 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_cell(X_data, D_true, hp_cell, controls_cell, theta):
+def _run_cell(state, hp_cell, controls_cell):
+    X_data, D_true, theta = state
     t0 = time.perf_counter()
     try:
         result: DiscoveryResult = slcd(X_data, hp_cell, controls_cell)
@@ -237,19 +239,17 @@ def sweep(dataset_id: int,
           controls: SolverControls = SolverControls(),
           m: int = 1000,
           data_seed: int = 0,
-          theta: float = DEFAULT_THETA,
-          jobs: int = 1) -> SweepResult:
+          theta: float = DEFAULT_THETA) -> SweepResult:
     """Run discovery on every (sigma, lambda) grid cell of one built-in
     dataset and collect the metrics.
 
     The data is generated once; each cell runs fresh restarts with a
     solver seed derived deterministically from controls.seed and the
-    cell index, so results do not depend on execution order or on jobs.
-    With jobs > 1 the cells run in min(jobs, cells, usable CPUs) spawned
-    worker processes, each of which solves its cells' restarts itself
-    rather than forking more (see _fork._workers), so a script that
-    calls this at its top level needs the usual
-    ``if __name__ == "__main__":`` guard.
+    cell index, so results do not depend on execution order or on the
+    processes they run on. The cells run on up to one forked process per
+    usable CPU, each of which solves its cells' restarts itself rather
+    than forking more; where no pool may start (see _fork._workers) they
+    run in this process, in order, and each slcd() call may fork its own.
     A cell whose solve aborts is recorded with its error and the sweep
     continues.
     """
@@ -259,9 +259,11 @@ def sweep(dataset_id: int,
         raise ValueError("sweep grids must be nonempty")
     if len(set(sigma_grid)) != len(sigma_grid) or len(set(lambda_grid)) != len(lambda_grid):
         raise ValueError("sweep grid values must be unique")
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
     spec = builtin_spec(dataset_id)
     data = sample(spec, m, data_seed)
-    D_true = spec.structural_matrix()
+    state = (data, spec.structural_matrix(), theta)
 
     tasks = []
     for idx, (sg, lg) in enumerate(
@@ -270,20 +272,12 @@ def sweep(dataset_id: int,
         controls_cell = replace(controls, seed=_cell_seed(controls.seed, idx))
         tasks.append((hp_cell, controls_cell))
 
-    run = partial(_run_cell, data, D_true, theta=theta)
-    workers = min(jobs, len(tasks), _usable_cpus())
-    if workers > 1:
-        # Processes, not threads: the solver is Python-bound and holds
-        # the interpreter lock. Spawned workers import slcd afresh, so a
-        # module attribute rebound in this process does not reach them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            cells = list(pool.map(run, *zip(*tasks)))
-    else:
-        cells = [run(hp_cell, cc) for hp_cell, cc in tasks]
+    # Processes, not threads: the solver is Python-bound and holds the
+    # interpreter lock.
+    workers = _fork._workers(len(tasks), blas=True)
+    with _fork._pool(workers, state) if workers > 1 else contextlib.nullcontext() as pool:
+        cells = list(pool.map(partial(_fork._worker_call, _run_cell), tasks) if pool
+                     else (_run_cell(state, *task) for task in tasks))
     return SweepResult(
         dataset_id=int(dataset_id),
         sigma_grid=sigma_grid,

@@ -68,9 +68,8 @@ def test_parser_surface_is_pinned() -> None:
         "discover": _SOLVE | {"--data", "--out"},
         "evaluate": {"-h", "--help", "--config", "--result", "--data", "--dataset", "--spec",
                      "--out", "--theta"},
-        "sweep": _SOLVE | {"--dataset", "--sigma-grid", "--lambda-grid", "--m", "--jobs",
-                           "--out"},
-        "repro": _SOLVE | {"which", "--out-dir", "--datasets", "--m", "--jobs", "--sigma-grid",
+        "sweep": _SOLVE | {"--dataset", "--sigma-grid", "--lambda-grid", "--m", "--out"},
+        "repro": _SOLVE | {"which", "--out-dir", "--datasets", "--m", "--sigma-grid",
                            "--lambda-grid"},
     }
 
@@ -393,7 +392,7 @@ def test_config_seed_only_at_top_level(ds2_csv, tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize("command, value", [
-    (("generate", "--dataset", "2"), {"jobs": -1}),
+    (("generate", "--dataset", "2"), {"restarts": 0}),
     (("generate", "--dataset", "2"), {"sigma": "x"}),
     (("generate", "--dataset", "2"), {"theta": -3}),
     (("generate", "--dataset", "2"), {"controls": {"max_inner_steps": 0}}),
@@ -419,11 +418,10 @@ def test_config_values_checked_when_not_read(tmp_path, capsys, command, value) -
 
 
 @pytest.mark.parametrize("which", ["estimates", "comparison"])
-@pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--sigma-grid", "x"),
-                                         ("--lambda-grid", "")])
+@pytest.mark.parametrize("flag, value", [("--sigma-grid", "x"), ("--lambda-grid", "")])
 def test_flags_checked_when_not_read(tmp_path, capsys, which, flag, value) -> None:
-    """repro estimates and comparison read neither --jobs nor the grids,
-    yet reject an invalid one before writing anything."""
+    """repro estimates and comparison do not read the grids, yet reject
+    an invalid one before writing anything."""
     out_dir = tmp_path / "out"
     assert run("repro", which, "--datasets", "1", "--m", "50", "--restarts", "1",
                "--iterations", "1", flag, value, "--out-dir", str(out_dir)) == 2
@@ -477,7 +475,7 @@ def test_config_grid_of_ints(tmp_path, capsys) -> None:
 
 def test_config_valid_unread_keys_are_ignored(tmp_path) -> None:
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"restarts": 3, "theta": 0.2, "jobs": 2, "sigma_grid": [0.3],
+    config.write_text(json.dumps({"restarts": 3, "theta": 0.2, "sigma_grid": [0.3],
                                   "controls": {"max_inner_steps": 9}}))
     data = tmp_path / "d.csv"
     assert run("generate", "--dataset", "2", "--m", "50", "--config", str(config),
@@ -490,6 +488,21 @@ def test_config_unknown_key_rejected(ds2_csv, tmp_path, capsys) -> None:
     config.write_text(json.dumps({"sigmas": 0.3}))
     assert run("discover", "--data", ds2_csv, "--config", str(config)) == 2
     assert "unknown config keys: sigmas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (("--jobs", "2"), {}, "unrecognized arguments: --jobs 2"),
+    ((), {"jobs": 2}, "unknown config keys: jobs"),
+], ids=["flag", "config"])
+def test_retired_jobs_is_usage_error(tmp_path, capsys, flags, config, message) -> None:
+    """The sweep picks its processes itself: its former jobs setting is an
+    unknown flag and an unknown config key, and nothing is written."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "grid.csv"
+    assert run("sweep", "--dataset", "2", *flags, "--config", str(path), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_invalid_json_rejected(ds2_csv, tmp_path, capsys) -> None:
@@ -545,9 +558,6 @@ _SCALAR_KEY_COMMANDS = {
               ("evaluate", "--result", "absent.json", "--data", "absent.csv", "--dataset", "2"),
               ("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "5"),
               ("repro", "estimates", "--datasets", "1")],
-    "jobs": [("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "5"),
-             ("repro", "figures", "--datasets", "1", "--sigma-grid", "0.3",
-              "--lambda-grid", "5")],
     "dataset": [("generate",), ("sweep", "--sigma-grid", "0.3", "--lambda-grid", "5"),
                 ("evaluate", "--result", "absent.json", "--data", "absent.csv")],
 }
@@ -803,7 +813,7 @@ _VALID = {
     "tau": st.integers(1, 5), "eps1": st.none() | _FINITE(0.0, 10.0),
     "eps2": st.none() | _FINITE(0.0, 10.0), "iterations": st.integers(1, 2),
     "restarts": st.integers(1, 8), "theta": _FINITE(1e-3, 1.0), "m": st.integers(2, 10 ** 6),
-    "jobs": st.integers(1, 4), "dataset": st.integers(1, 5),
+    "dataset": st.integers(1, 5),
     "sigma_grid": st.lists(_FINITE(1e-3, 10.0), min_size=1, max_size=2, unique=True),
     "lambda_grid": st.lists(_FINITE(0.0, 100.0), min_size=1, max_size=2, unique=True),
     "controls": st.fixed_dictionaries({}, optional={"max_inner_steps": st.integers(1, 20)}),

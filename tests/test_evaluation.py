@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from slcd import (
     sweep,
     true_edges,
 )
+from slcd import _fork
 from slcd.evaluation import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA_GRID, DEFAULT_THETA
 from slcd.reference import REFERENCE_ESTIMATES
 
@@ -123,9 +125,18 @@ def test_extract_edges_zero_matrix_empty() -> None:
     assert len(extract_edges(np.zeros((3, 3)))) == 0
 
 
-def test_extract_edges_rejects_nonpositive_theta() -> None:
+def test_extract_edges_rejects_nonpositive_theta(monkeypatch) -> None:
+    """extract_edges rejects a theta of 0, and so does sweep(), before it
+    samples its data or solves a cell."""
     with pytest.raises(ValueError):
         extract_edges(np.eye(2), 0.0)
+
+    def unreachable(*args):
+        raise AssertionError("sweep() sampled data for an invalid theta")
+
+    monkeypatch.setattr("slcd.evaluation.sample", unreachable)
+    with pytest.raises(ValueError, match="theta must be positive"):
+        sweep(2, theta=0)
 
 
 def test_extract_edges_orientation() -> None:
@@ -244,6 +255,8 @@ def test_sweep_cell_order_row_major(monkeypatch) -> None:
         raise SolverAbort("stub", [])
 
     monkeypatch.setattr("slcd.evaluation.slcd", fake)
+    # calls is recorded in this process, so the cells must run here
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     result = sweep(2, sigma_grid=(0.1, 0.3), lambda_grid=(1.0, 5.0))
     assert calls == [(0.1, 1.0), (0.1, 5.0), (0.3, 1.0), (0.3, 5.0)]
     assert [(c.sigma, c.lam) for c in result.cells] == calls
@@ -267,29 +280,55 @@ def test_sweep_continues_past_aborted_cell(monkeypatch) -> None:
     assert good.error == "" and good.metrics is not None
 
 
-def test_sweep_jobs_match_serial() -> None:
-    kwargs = dict(
-        sigma_grid=(0.2, 0.3), lambda_grid=(5.0,),
-        hp=Hyperparams(restarts=2, iterations=1), m=200,
-        controls=SolverControls(max_inner_steps=20),
-    )
-    serial = sweep(2, jobs=1, **kwargs)
-    parallel = sweep(2, jobs=2, **kwargs)
-    assert [c.j_min for c in serial.cells] == [c.j_min for c in parallel.cells]
-    assert [c.metrics for c in serial.cells] == [c.metrics for c in parallel.cells]
+def _sweep_on(cpus: int) -> tuple[int, list]:
+    """A 4-cell dataset 2 sweep, one cell of which aborts, on cpus usable
+    CPUs: the pools it started, and each cell's j_min, metrics and error.
+    The patched solver is seen by forked workers too."""
+    from slcd.solver import slcd as real_slcd
+
+    def flaky(data, hp, controls):
+        if (hp.sigma, hp.lam) == (0.2, 5.0):
+            raise SolverAbort("induced failure", [])
+        return real_slcd(data, hp, controls)
+
+    with mock.patch("slcd.evaluation.slcd", flaky), \
+            mock.patch.object(_fork, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
+        result = sweep(2, sigma_grid=(0.2, 0.3), lambda_grid=(1.0, 5.0),
+                       hp=Hyperparams(restarts=2, iterations=1), m=200,
+                       controls=SolverControls(max_inner_steps=20))
+    return pool.call_count, [(c.j_min, c.metrics, c.error) for c in result.cells]
 
 
-def test_sweep_runs_in_process_on_one_usable_cpu(monkeypatch) -> None:
-    """sweep() bounds its processes by the CPUs this process may run on,
-    as the CSV codec does: on one, jobs=2 runs the cells here, where the
-    patched solver is seen (spawned workers would import the real one)."""
-    def fake(data, hp, controls):
-        raise SolverAbort("stub", [])
+@pytest.fixture(scope="module")
+def one_cpu_cells() -> list:
+    return _sweep_on(1)[1]
 
-    monkeypatch.setattr("slcd.evaluation.slcd", fake)
-    monkeypatch.setattr("slcd.evaluation._usable_cpus", lambda: 1)
-    result = sweep(4, sigma_grid=(0.3,), lambda_grid=(1.0, 5.0), jobs=2)
-    assert [c.error for c in result.cells] == ["stub", "stub"]
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_cells_match_across_cpus(one_cpu_cells, cpus) -> None:
+    """The cells are the bits of a one-CPU run whether they run here or
+    on forked workers, which start only with two CPUs and a BLAS that
+    survives a fork; the aborted cell is recorded and the sweep goes on."""
+    pools, cells = _sweep_on(cpus)
+    assert pools == (cpus == 2 and _fork._blas_forks_safely())
+    assert cells == one_cpu_cells
+    assert [error for _, _, error in cells] == ["", "induced failure", "", ""]
+    assert all(metrics is not None for _, metrics, error in cells if not error)
+
+
+def test_sweep_cell_worker_starts_no_pool(monkeypatch) -> None:
+    """A forked cell worker solves its cells itself: there, slcd() would
+    start no solver pool of its own."""
+    def report_workers(data, hp, controls):
+        raise SolverAbort(str(_fork._workers(4, blas=True)), [])
+
+    monkeypatch.setattr("slcd.evaluation.slcd", report_workers)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    with mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
+        result = sweep(2, sigma_grid=(0.2, 0.3), lambda_grid=(1.0, 5.0))
+    assert pool.call_count == _fork._blas_forks_safely()
+    assert [c.error for c in result.cells] == ["1"] * 4
 
 
 def test_sweep_csv_layout(tmp_path, monkeypatch) -> None:

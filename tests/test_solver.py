@@ -674,9 +674,10 @@ def _pools_started_in_a_child(path: str) -> tuple[int, bytes, bytes]:
 
 
 def test_spawned_child_starts_no_pool(tmp_path) -> None:
-    """A worker of sweep(jobs > 1) is a spawned, non-daemonic child whose
-    siblings already keep the CPUs busy: neither the solver nor the CSV
-    codec starts a pool in it, and it gets the same results."""
+    """User code that multiprocessing starts, here a spawned, non-daemonic
+    child, may have siblings that already keep the CPUs busy: neither the
+    solver nor the CSV codec starts a pool in it, and it gets the same
+    results."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
