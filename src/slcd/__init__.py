@@ -33,13 +33,7 @@ from .evaluation import (
 )
 from .objective import (
     Hyperparams,
-    ObjectiveBreakdown,
-    gradient,
-    objective,
     resolve_epsilons,
-    residuals,
-    smoothed_rank,
-    smoothed_trace,
 )
 from .scm_core import (
     Distribution,
@@ -49,10 +43,7 @@ from .scm_core import (
     StructuralMatrix,
     Uniform,
     VariableDef,
-    induced_covariance,
-    numerical_rank,
     true_edges,
-    validate_ground_truth,
 )
 from .solver import (
     DiscoveryResult,
@@ -77,7 +68,6 @@ __all__ = [
     "Gaussian",
     "Hyperparams",
     "MetricBundle",
-    "ObjectiveBreakdown",
     "RestartRecord",
     "ScmSpec",
     "SolverAbort",
@@ -91,26 +81,18 @@ __all__ = [
     "center",
     "covariance_error",
     "extract_edges",
-    "gradient",
-    "induced_covariance",
     "load_dataset",
     "metric_bundle",
-    "numerical_rank",
-    "objective",
     "precision_recall",
     "reconstruction_error",
-    "residuals",
     "resolve_epsilons",
     "row_threshold",
     "sample",
     "sample_covariance",
     "save_dataset",
     "slcd",
-    "smoothed_rank",
-    "smoothed_trace",
     "structure_error",
     "sweep",
     "true_edges",
-    "validate_ground_truth",
     "__version__",
 ]

@@ -14,19 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scm_core import (
-    Distribution,
-    Gaussian,
-    ScmSpec,
-    Uniform,
-    VariableDef,
-)
+from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef
 
 __all__ = [
     "Dataset",
-    "Distribution",
-    "Uniform",
-    "Gaussian",
     "builtin_spec",
     "BUILTIN_IDS",
     "sample",
@@ -256,9 +247,11 @@ def load_dataset(csv_path: str) -> Dataset:
     line of only spaces or a '#' comment is malformed: the ValueError
     names the first malformed line. The file is read in pieces on up to
     one process per CPU (see _csvio). The sidecar is optional; without
-    it the provenance fields fall back to neutral values. A "centered"
-    value in the sidecar, which earlier versions wrote, is ignored: data
-    read from a file are never taken as centred, so slcd() centres them."""
+    it the provenance fields fall back to neutral values; a sidecar that
+    is not valid JSON, is not a JSON object, or whose seed is not an
+    integer is a ValueError that names it. A "centered" value in the
+    sidecar, which earlier versions wrote, is ignored: data read from a
+    file are never taken as centred, so slcd() centres them."""
     from . import _csvio
 
     X = _csvio.read(csv_path)
@@ -266,6 +259,14 @@ def load_dataset(csv_path: str) -> Dataset:
     sidecar = _sidecar_path(csv_path)
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{sidecar}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{sidecar}: sidecar must be a JSON object")
         meta.update({k: loaded[k] for k in ("spec_name", "seed") if k in loaded})
-    return Dataset(X=X, spec_name=str(meta["spec_name"]), seed=int(meta["seed"]))
+        seed = meta["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"{sidecar}: seed must be an integer, got {seed!r}")
+    return Dataset(X=X, spec_name=str(meta["spec_name"]), seed=meta["seed"])

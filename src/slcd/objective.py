@@ -5,12 +5,12 @@ The rank of D is approximated by the smoothed-L0 surrogate
 sum_i (1 - exp(-s_i^2 / sigma^2)) over its singular values, and the
 trace-support term applies the same surrogate to the diagonal. Both
 constraints enter through squared hinges: a residual only contributes
-once it exceeds its slack epsilon. Analytic gradients are provided and
-are checked against finite differences in the test suite.
+once it exceeds its slack epsilon.
 
-The public functions work from the data X and are the reference. The
-solver evaluates the same terms through the private _Workspace, which
-holds only the Gram matrix G = X X^T and the covariance.
+objective() works from the data X and is the reference; perfbench checks
+each reported J_min against it. The solver evaluates the same terms,
+and their gradients, through the private _Workspace, which holds only
+the Gram matrix G = X X^T and the covariance.
 """
 from __future__ import annotations
 
@@ -27,11 +27,7 @@ __all__ = [
     "Hyperparams",
     "ObjectiveBreakdown",
     "resolve_epsilons",
-    "smoothed_rank",
-    "smoothed_trace",
-    "residuals",
     "objective",
-    "gradient",
 ]
 
 # Relative scale for the default constraint slacks. eps1 covers the
@@ -132,15 +128,6 @@ class ObjectiveBreakdown:
     cov_residual: float
     total: float
 
-    def to_json(self) -> dict:
-        return {
-            "smoothed_rank": self.smoothed_rank,
-            "smoothed_trace": self.smoothed_trace,
-            "recon_residual": self.recon_residual,
-            "cov_residual": self.cov_residual,
-            "total": self.total,
-        }
-
 
 def resolve_epsilons(hp: Hyperparams, X: np.ndarray, Sigma: np.ndarray) -> tuple[float, float]:
     """Effective constraint slacks: explicit values pass through, None
@@ -162,20 +149,16 @@ def _surrogate(values: np.ndarray, sigma: float) -> float:
     return float(np.sum(1.0 - np.exp(-(values * values) / (sigma * sigma))))
 
 
-def smoothed_rank(D: np.ndarray, sigma: float) -> float:
+def _smoothed_rank(D, sigma: float) -> float:
     """sum_i (1 - exp(-s_i^2/sigma^2)) over the singular values of D.
     Approaches rank(D) as sigma shrinks."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     s = np.linalg.svd(_matrix_entries(D), compute_uv=False)
     return _surrogate(s, sigma)
 
 
-def smoothed_trace(D: np.ndarray, sigma: float) -> float:
+def _smoothed_trace(D, sigma: float) -> float:
     """Same surrogate applied to the diagonal entries of D; counts how
     many diagonal entries are far from zero."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     return _surrogate(np.diag(_matrix_entries(D)), sigma)
 
 
@@ -191,7 +174,7 @@ def _check_dims(D, X, Sigma, sigma_diag):
         raise ValueError(f"sigma_diag shape {sigma_diag.shape} does not match n={n}")
 
 
-def residuals(D, X, Sigma, sigma_diag) -> tuple[float, float]:
+def _residuals(D, X, Sigma, sigma_diag) -> tuple[float, float]:
     """Squared constraint residuals (||X - DX||_F^2,
     ||Sigma - D diag(sigma_diag) D^T||_F^2)."""
     D = _matrix_entries(D)
@@ -217,9 +200,9 @@ def objective(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) 
         raise ValueError("penalty weights must be nonnegative")
     D = _matrix_entries(D)
     eps1, eps2 = resolve_epsilons(hp, np.asarray(X, dtype=float), np.asarray(Sigma, dtype=float))
-    rank = smoothed_rank(D, hp.sigma)
-    trace = smoothed_trace(D, hp.sigma)
-    recon, cov = residuals(D, X, Sigma, sigma_diag)
+    rank = _smoothed_rank(D, hp.sigma)
+    trace = _smoothed_trace(D, hp.sigma)
+    recon, cov = _residuals(D, X, Sigma, sigma_diag)
     # NaN residuals must poison the total, so the hinge cannot use
     # Python's max (max(0.0, nan) is 0.0)
     h1 = float(np.maximum(0.0, recon - eps1))
@@ -234,51 +217,14 @@ def objective(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) 
     )
 
 
-def gradient(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) -> np.ndarray:
-    """Analytic gradient of objective(...).total with respect to D.
-
-    At repeated singular values the rank term's derivative is not
-    unique; the subgradient induced by the computed SVD is returned.
-    """
-    D = _matrix_entries(D)
-    X = np.asarray(X, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    sd = np.asarray(sigma_diag, dtype=float)
-    _check_dims(D, X, Sigma, sd)
-    if not np.all(np.isfinite(D)):
-        raise ValueError("non-finite matrix entries")
-    n = D.shape[0]
-    sig2 = hp.sigma * hp.sigma
-    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
-
-    U, s, Vt = np.linalg.svd(D)
-    g = (U * (2.0 * s / sig2 * np.exp(-(s * s) / sig2))) @ Vt
-
-    d = np.diag(D)
-    g[np.arange(n), np.arange(n)] += hp.lam * (2.0 * d / sig2) * np.exp(-(d * d) / sig2)
-
-    E = X - D @ X
-    recon = float(np.sum(E * E))
-    h1 = float(np.maximum(0.0, recon - eps1))
-    if h1 > 0.0 and mu1 > 0.0:
-        g += mu1 * (-4.0 * h1) * (E @ X.T)
-
-    R = Sigma - (D * sd) @ D.T
-    cov = float(np.sum(R * R))
-    h2 = float(np.maximum(0.0, cov - eps2))
-    if h2 > 0.0 and mu2 > 0.0:
-        g += mu2 * (-8.0 * h2) * (R @ (D * sd))
-    return g
-
-
 class _Workspace:
     """The objective's core, built once from the data's sufficient
     statistics: the Gram matrix G = X X^T, the covariance Sigma, its
     diagonal sigma_diag, and the slacks, which hp must hold resolved.
     The reconstruction residual ||X - DX||_F^2 is the trace form
     tr((I - D) G (I - D)^T), so no evaluation touches X or costs more
-    with m. The public functions above work from X; they are the
-    reference this core is tested against."""
+    with m. objective() above works from X; it is the reference this
+    core is tested against."""
 
     def __init__(self, G: np.ndarray, Sigma: np.ndarray, sigma_diag: np.ndarray,
                  hp: Hyperparams):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +26,7 @@ __all__ = [
     "ScmSpec",
     "StructuralMatrix",
     "EdgeSet",
-    "validate_ground_truth",
     "true_edges",
-    "induced_covariance",
-    "numerical_rank",
 ]
 
 
@@ -182,17 +180,6 @@ class ScmSpec:
                     D[i, j] = c
         return StructuralMatrix(D)
 
-    def analytic_variances(self) -> np.ndarray:
-        """Closed-form variance of every variable (parents are independent,
-        so dependent variances are coefficient-squared sums)."""
-        var = np.zeros(self.n)
-        for i, v in enumerate(self.variables):
-            if v.role == "independent":
-                var[i] = v.dist.variance
-            else:
-                var[i] = sum(c * c * var[j] for j, c in v.terms)
-        return var
-
     def to_json(self) -> dict:
         return {"name": self.name, "variables": [v.to_json() for v in self.variables]}
 
@@ -234,9 +221,12 @@ class StructuralMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructuralMatrix":
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {n!r}")
         m = cls(np.array(obj["rows"], dtype=float))
-        if m.n != int(obj["n"]):
-            raise ValueError(f"declared n={obj['n']} does not match {m.n} rows")
+        if m.n != n:
+            raise ValueError(f"declared n={n} does not match {m.n} rows")
         return m
 
 
@@ -270,7 +260,7 @@ def _matrix_entries(D) -> np.ndarray:
     return a
 
 
-def numerical_rank(D, rel_tol: float = 1e-8) -> int:
+def _numerical_rank(D, rel_tol: float = 1e-8) -> int:
     """Count of singular values above rel_tol times the largest one."""
     a = _matrix_entries(D)
     s = np.linalg.svd(a, compute_uv=False)
@@ -279,7 +269,7 @@ def numerical_rank(D, rel_tol: float = 1e-8) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def validate_ground_truth(D, tau: int) -> list[str]:
+def _validate_ground_truth(D, tau: int) -> list[str]:
     """Check that D has the shape of a ground-truth structural matrix.
 
     Rows must partition into independent rows (exactly one nonzero, the
@@ -321,7 +311,7 @@ def validate_ground_truth(D, tau: int) -> list[str]:
                     f"which is not an independent row"
                 )
 
-    rank = numerical_rank(a)
+    rank = _numerical_rank(a)
     if rank != len(independent_rows):
         violations.append(
             f"rank {rank} does not equal the independent-row count {len(independent_rows)}"
@@ -333,24 +323,10 @@ def true_edges(D) -> EdgeSet:
     """Edges (parent, child) from the off-diagonal nonzeros of a
     ground-truth matrix. Rejects matrices that fail validation."""
     a = _matrix_entries(D)
-    problems = validate_ground_truth(a, tau=a.shape[0])
+    problems = _validate_ground_truth(a, tau=a.shape[0])
     if problems:
         raise ValueError("not a valid ground-truth matrix: " + "; ".join(problems))
     n = a.shape[0]
     return EdgeSet(
         (j, i) for i in range(n) for j in range(n) if i != j and a[i, j] != 0.0
     )
-
-
-def induced_covariance(D, sigma_diag) -> np.ndarray:
-    """Covariance matrix D diag(sigma_diag) D^T implied by a structural
-    matrix and per-variable variances."""
-    a = _matrix_entries(D)
-    sd = np.asarray(sigma_diag, dtype=float)
-    if sd.ndim != 1 or sd.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"sigma_diag length {sd.shape} does not match matrix size {a.shape[0]}"
-        )
-    if np.any(sd < 0):
-        raise ValueError("variances must be nonnegative")
-    return (a * sd) @ a.T

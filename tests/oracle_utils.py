@@ -7,7 +7,10 @@ instances. Keep n at 2 or 3: the support count grows combinatorially.
 The row-thresholding reference works one row at a time, as the stacked
 solver.row_threshold must agree with it bit for bit, and the doubling
 line search starts every member's search at a width of one, as the
-solver's windowed search must agree with it bit for bit.
+solver's windowed search must agree with it bit for bit. The analytic
+gradient of the X-form objective, the induced covariance and the
+closed-form variances of a spec are references the tests check the
+package against.
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import minimize
 
-from slcd import Hyperparams, SolverControls, objective, resolve_epsilons
-from slcd.objective import _Workspace
+from slcd import Hyperparams, ScmSpec, SolverControls, resolve_epsilons
+from slcd.objective import _check_dims, _Workspace, objective
+from slcd.scm_core import _matrix_entries
 from slcd.solver import _ARMIJO_C, REFERENCE_WEIGHT, _sqp
 
 
@@ -147,3 +151,66 @@ def line_search_doubling(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, 
         start += width
         width *= 2
     return out
+
+
+def gradient(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) -> np.ndarray:
+    """Analytic gradient of objective(...).total with respect to D.
+
+    At repeated singular values the rank term's derivative is not
+    unique; the subgradient induced by the computed SVD is returned.
+    """
+    D = _matrix_entries(D)
+    X = np.asarray(X, dtype=float)
+    Sigma = np.asarray(Sigma, dtype=float)
+    sd = np.asarray(sigma_diag, dtype=float)
+    _check_dims(D, X, Sigma, sd)
+    if not np.all(np.isfinite(D)):
+        raise ValueError("non-finite matrix entries")
+    n = D.shape[0]
+    sig2 = hp.sigma * hp.sigma
+    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
+
+    U, s, Vt = np.linalg.svd(D)
+    g = (U * (2.0 * s / sig2 * np.exp(-(s * s) / sig2))) @ Vt
+
+    d = np.diag(D)
+    g[np.arange(n), np.arange(n)] += hp.lam * (2.0 * d / sig2) * np.exp(-(d * d) / sig2)
+
+    E = X - D @ X
+    recon = float(np.sum(E * E))
+    h1 = float(np.maximum(0.0, recon - eps1))
+    if h1 > 0.0 and mu1 > 0.0:
+        g += mu1 * (-4.0 * h1) * (E @ X.T)
+
+    R = Sigma - (D * sd) @ D.T
+    cov = float(np.sum(R * R))
+    h2 = float(np.maximum(0.0, cov - eps2))
+    if h2 > 0.0 and mu2 > 0.0:
+        g += mu2 * (-8.0 * h2) * (R @ (D * sd))
+    return g
+
+
+def induced_covariance(D, sigma_diag) -> np.ndarray:
+    """Covariance matrix D diag(sigma_diag) D^T implied by a structural
+    matrix and per-variable variances."""
+    a = _matrix_entries(D)
+    sd = np.asarray(sigma_diag, dtype=float)
+    if sd.ndim != 1 or sd.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"sigma_diag length {sd.shape} does not match matrix size {a.shape[0]}"
+        )
+    if np.any(sd < 0):
+        raise ValueError("variances must be nonnegative")
+    return (a * sd) @ a.T
+
+
+def analytic_variances(spec: ScmSpec) -> np.ndarray:
+    """Closed-form variance of every variable of spec (parents are
+    independent, so dependent variances are coefficient-squared sums)."""
+    var = np.zeros(spec.n)
+    for i, v in enumerate(spec.variables):
+        if v.role == "independent":
+            var[i] = v.dist.variance
+        else:
+            var[i] = sum(c * c * var[j] for j, c in v.terms)
+    return var

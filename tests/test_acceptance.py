@@ -22,21 +22,24 @@ from slcd import (
     builtin_spec,
     center,
     extract_edges,
-    gradient,
-    induced_covariance,
-    numerical_rank,
-    residuals,
     resolve_epsilons,
     sample,
     sample_covariance,
     slcd,
-    smoothed_rank,
     sweep,
     true_edges,
 )
 from slcd.cli import main
 from slcd.evaluation import DEFAULT_THETA
-from oracle_utils import brute_force_best, objective_of
+from slcd.objective import _residuals, _smoothed_rank, objective
+from slcd.scm_core import _numerical_rank
+from oracle_utils import (
+    analytic_variances,
+    brute_force_best,
+    gradient,
+    induced_covariance,
+    objective_of,
+)
 
 GATED_IDS = (2, 3, 4, 5)
 EXPECTED_CORRECT_LINKS = {2: 3, 3: 5, 4: 6, 5: 8}
@@ -130,7 +133,7 @@ def test_criterion_04_induced_covariance_matches_samples() -> None:
         data = sample(spec, 100_000, seed=4)
         Sigma_s, _ = sample_covariance(data)
         Sigma_i = induced_covariance(
-            spec.structural_matrix(), spec.analytic_variances())
+            spec.structural_matrix(), analytic_variances(spec))
         gap = float(np.max(np.abs(Sigma_s - Sigma_i)))
         assert gap < 0.1, f"dataset {ds_id}: max entrywise gap {gap:.4g}"
     assert time.perf_counter() - t0 < 10.0
@@ -159,8 +162,6 @@ def test_criterion_05_gradient_matches_finite_differences() -> None:
         mu1 = float(rng.uniform(0.5, 50.0))
         mu2 = float(rng.uniform(0.5, 50.0))
         D = rng.uniform(-1.5, 1.5, size=(n, n))
-        from slcd import objective
-
         g = gradient(D, X, Sigma, sd, hp, mu1, mu2)
         fd = np.zeros_like(D)
         for i in range(n):
@@ -182,8 +183,8 @@ def test_criterion_06_smoothed_rank_limit() -> None:
     its integer rank to within 1e-3."""
     for ds_id in range(1, 6):
         D = builtin_spec(ds_id).structural_matrix()
-        exact = numerical_rank(D)
-        smooth = smoothed_rank(D, 1e-3)
+        exact = _numerical_rank(D)
+        smooth = _smoothed_rank(D, 1e-3)
         assert abs(smooth - exact) < 1e-3, f"dataset {ds_id}: {smooth} vs {exact}"
 
 
@@ -197,8 +198,8 @@ def test_criterion_07_covariance_constraint_breaks_tie(pair_sum_data) -> None:
     eps1, eps2 = resolve_epsilons(Hyperparams(), ds.X, Sigma)
 
     t0 = time.perf_counter()
-    recon_id, cov_id = residuals(np.eye(3), ds.X, Sigma, sd)
-    recon_alias, _ = residuals(alias, ds.X, Sigma, sd)
+    recon_id, cov_id = _residuals(np.eye(3), ds.X, Sigma, sd)
+    recon_alias, _ = _residuals(alias, ds.X, Sigma, sd)
     assert recon_id == 0.0
     assert recon_alias <= eps1
     assert cov_id > eps2

@@ -293,6 +293,40 @@ def test_single_sample_dataset_is_io_error(tmp_path, capsys) -> None:
     assert "Traceback" not in err
 
 
+MALFORMED_SIDECARS = {
+    "seed-null": '{"seed": null}',
+    "seed-list": '{"seed": [1]}',
+    "seed-overflow": '{"seed": 1e400}',
+    "seed-fraction": '{"seed": 1.7}',
+    "seed-bool": '{"seed": true}',
+    "list": '["seed"]',
+    "string": '"seed"',
+    "not-json": '{"seed": ',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SIDECARS.values(), ids=MALFORMED_SIDECARS.keys())
+def test_malformed_sidecar_is_io_error(ds2_csv, tmp_path, capsys, text) -> None:
+    """A sidecar that is not valid JSON, is not a JSON object, or whose
+    seed is not an integer is a ValueError that names it, and discover
+    and evaluate exit 3 on it."""
+    data = tmp_path / "d.csv"
+    data.write_bytes(Path(ds2_csv).read_bytes())
+    sidecar = tmp_path / "d.json"
+    sidecar.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(str(data))
+    assert str(exc.value).startswith(f"{sidecar}: ")
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(builtin_spec(2).structural_matrix().to_json()))
+    assert run("discover", "--data", str(data), "--out", str(tmp_path / "r.json")) == 3
+    assert run("evaluate", "--result", str(result), "--data", str(data),
+               "--dataset", "2") == 3
+    err = capsys.readouterr().err
+    assert err.count(f"malformed dataset: {sidecar}") == 2
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ configuration
 
 def test_config_precedence_flags_over_file(ds2_csv, tmp_path) -> None:
@@ -632,6 +666,8 @@ GARBAGE_RESULTS = {
     "number": 3,
     "string": "x",
     "null": None,
+    "n-fraction": {"n": 2.9, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+    "n-string": {"n": "2", "rows": [[1.0, 0.0], [0.0, 1.0]]},
 }
 
 

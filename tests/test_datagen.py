@@ -21,7 +21,6 @@ from slcd import (
     VariableDef,
     builtin_spec,
     center,
-    induced_covariance,
     load_dataset,
     sample,
     sample_covariance,
@@ -29,6 +28,7 @@ from slcd import (
     slcd,
 )
 from slcd import _csvio, _fork
+from oracle_utils import analytic_variances, induced_covariance
 
 UNIFORM_VARIANCE = 25.0 / 12.0
 
@@ -170,7 +170,7 @@ def test_sample_covariance_near_induced() -> None:
     spec = builtin_spec(3)
     ds = sample(spec, 100_000, 4)
     Sigma, _ = sample_covariance(ds)
-    induced = induced_covariance(spec.structural_matrix(), spec.analytic_variances())
+    induced = induced_covariance(spec.structural_matrix(), analytic_variances(spec))
     assert float(np.max(np.abs(Sigma - induced))) < 0.1
 
 

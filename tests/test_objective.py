@@ -15,18 +15,13 @@ from slcd import (
     Hyperparams,
     builtin_spec,
     center,
-    gradient,
-    induced_covariance,
-    numerical_rank,
-    objective,
-    residuals,
     resolve_epsilons,
     sample,
     sample_covariance,
-    smoothed_rank,
-    smoothed_trace,
 )
-from slcd.objective import EPS_REL
+from slcd.objective import EPS_REL, _residuals, _smoothed_rank, _smoothed_trace, objective
+from slcd.scm_core import _numerical_rank
+from oracle_utils import analytic_variances, gradient, induced_covariance
 
 
 def finite_difference(D, X, Sigma, sd, hp, mu1, mu2, h=1e-5) -> np.ndarray:
@@ -105,26 +100,26 @@ def test_resolve_epsilons_scaling() -> None:
 # ------------------------------------------------------------- surrogates
 
 def test_smoothed_rank_zero_matrix() -> None:
-    assert smoothed_rank(np.zeros((4, 4)), 0.3) == 0.0
+    assert _smoothed_rank(np.zeros((4, 4)), 0.3) == 0.0
 
 
 def test_smoothed_rank_identity_closed_form() -> None:
     # three singular values of 1: 3 (1 - exp(-1/0.09))
-    val = smoothed_rank(np.eye(3), 0.3)
+    val = _smoothed_rank(np.eye(3), 0.3)
     assert abs(val - 3.0) < 1e-4
     assert val == pytest.approx(3.0 * (1.0 - np.exp(-1.0 / 0.09)))
 
 
 def test_smoothed_rank_limit_is_rank() -> None:
     D = builtin_spec(2).structural_matrix().entries
-    assert smoothed_rank(D, 1e-3) == pytest.approx(2.0, abs=1e-3)
-    assert numerical_rank(D) == 2
+    assert _smoothed_rank(D, 1e-3) == pytest.approx(2.0, abs=1e-3)
+    assert _numerical_rank(D) == 2
 
 
 def test_smoothed_rank_monotone_in_sigma() -> None:
     rng = np.random.default_rng(0)
     D = rng.normal(size=(5, 5))
-    values = [smoothed_rank(D, s) for s in (0.01, 0.1, 0.3, 1.0, 3.0)]
+    values = [_smoothed_rank(D, s) for s in (0.01, 0.1, 0.3, 1.0, 3.0)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -135,8 +130,8 @@ def test_smoothed_rank_orthogonal_invariance(seed: int) -> None:
     D = rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     R, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    assert smoothed_rank(Q @ D @ R, 0.3) == pytest.approx(
-        smoothed_rank(D, 0.3), abs=1e-9)
+    assert _smoothed_rank(Q @ D @ R, 0.3) == pytest.approx(
+        _smoothed_rank(D, 0.3), abs=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -144,22 +139,22 @@ def test_smoothed_rank_bounds(seed: int) -> None:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     D = rng.uniform(-3, 3, size=(n, n))
-    val = smoothed_rank(D, 0.3)
+    val = _smoothed_rank(D, 0.3)
     assert 0.0 <= val <= n
 
 
 def test_smoothed_trace_zero_diagonal() -> None:
     D = np.array([[0.0, 2.0], [3.0, 0.0]])
-    assert smoothed_trace(D, 0.3) == 0.0
+    assert _smoothed_trace(D, 0.3) == 0.0
 
 
 def test_smoothed_trace_identity() -> None:
-    assert smoothed_trace(np.eye(4), 0.3) == pytest.approx(4.0, abs=1e-4)
+    assert _smoothed_trace(np.eye(4), 0.3) == pytest.approx(4.0, abs=1e-4)
 
 
 def test_smoothed_trace_dataset3_truth() -> None:
     D = builtin_spec(3).structural_matrix().entries
-    assert smoothed_trace(D, 0.3) == pytest.approx(2.0, abs=1e-4)
+    assert _smoothed_trace(D, 0.3) == pytest.approx(2.0, abs=1e-4)
 
 
 # -------------------------------------------------------------- residuals
@@ -168,14 +163,14 @@ def test_residuals_truth_reconstructs() -> None:
     spec = builtin_spec(2)
     ds = sample(spec, 300, 0)
     Sigma, sd = sample_covariance(ds)
-    recon, _ = residuals(spec.structural_matrix().entries, ds.X, Sigma, sd)
+    recon, _ = _residuals(spec.structural_matrix().entries, ds.X, Sigma, sd)
     assert recon < 1e-20
 
 
 def test_residuals_identity_violates_covariance(ds2_data) -> None:
     ds = center(ds2_data)
     Sigma, sd = sample_covariance(ds)
-    recon, cov = residuals(np.eye(4), ds.X, Sigma, sd)
+    recon, cov = _residuals(np.eye(4), ds.X, Sigma, sd)
     assert recon == 0.0
     off_diag = Sigma - np.diag(np.diag(Sigma))
     assert cov == pytest.approx(float(np.sum(off_diag * off_diag)))
@@ -185,14 +180,14 @@ def test_residuals_identity_violates_covariance(ds2_data) -> None:
 def test_residuals_zero_matrix(ds2_data) -> None:
     ds = center(ds2_data)
     Sigma, sd = sample_covariance(ds)
-    recon, cov = residuals(np.zeros((4, 4)), ds.X, Sigma, sd)
+    recon, cov = _residuals(np.zeros((4, 4)), ds.X, Sigma, sd)
     assert recon == pytest.approx(float(np.sum(ds.X * ds.X)))
     assert cov == pytest.approx(float(np.sum(Sigma * Sigma)))
 
 
 def test_residuals_dimension_mismatch() -> None:
     with pytest.raises(ValueError):
-        residuals(np.eye(3), np.zeros((4, 10)), np.eye(4), np.ones(4))
+        _residuals(np.eye(3), np.zeros((4, 10)), np.eye(4), np.ones(4))
 
 
 # -------------------------------------------------------------- objective
@@ -205,11 +200,11 @@ def test_objective_truth_penalties_inactive() -> None:
         spec = builtin_spec(ds_id)
         ds = sample(spec, 400, 0)
         D = spec.structural_matrix().entries
-        Sigma = induced_covariance(D, spec.analytic_variances())
-        sd = spec.analytic_variances()
+        Sigma = induced_covariance(D, analytic_variances(spec))
+        sd = analytic_variances(spec)
         hp = Hyperparams(eps1=1e-8, eps2=1e-8)
         got = objective(D, ds.X, Sigma, sd, hp, mu1=1e6, mu2=1e6)
-        expected = smoothed_rank(D, hp.sigma) + hp.lam * smoothed_trace(D, hp.sigma)
+        expected = _smoothed_rank(D, hp.sigma) + hp.lam * _smoothed_trace(D, hp.sigma)
         assert got.total == pytest.approx(expected), f"dataset {ds_id}"
         assert got.recon_residual < 1e-8
         assert got.cov_residual < 1e-8

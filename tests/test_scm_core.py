@@ -16,14 +16,13 @@ from slcd import (
     Uniform,
     VariableDef,
     builtin_spec,
-    induced_covariance,
-    numerical_rank,
     sample,
     sample_covariance,
     true_edges,
-    validate_ground_truth,
 )
+from slcd.scm_core import _numerical_rank, _validate_ground_truth
 from conftest import PAIR_SUM_ALIAS
+from oracle_utils import analytic_variances, induced_covariance
 
 UNIFORM_VARIANCE = 25.0 / 12.0  # Var(U(-2.5, 2.5)) = (b - a)^2 / 12
 
@@ -120,39 +119,39 @@ def test_builtin_truth_matrices(truth_matrices) -> None:
 
 def test_builtin_truth_validates(truth_matrices) -> None:
     for ds_id, D in truth_matrices.items():
-        assert validate_ground_truth(D, tau=2) == [], f"dataset {ds_id}"
+        assert _validate_ground_truth(D, tau=2) == [], f"dataset {ds_id}"
 
 
 def test_rank_equals_independent_count(truth_matrices) -> None:
     independent_counts = {1: 1, 2: 2, 3: 2, 4: 3, 5: 3}
     for ds_id, D in truth_matrices.items():
-        assert numerical_rank(D) == independent_counts[ds_id]
+        assert _numerical_rank(D) == independent_counts[ds_id]
 
 
 # -------------------------------------------------------------- validator
 
 def test_validator_accepts_identity() -> None:
-    assert validate_ground_truth(np.eye(3), tau=1) == []
+    assert _validate_ground_truth(np.eye(3), tau=1) == []
 
 
 def test_validator_reports_row_and_rule() -> None:
     # dependent row 1 has 3 nonzeros with tau=2
     D = np.array([[1.0, 0, 0], [0.5, 0.25, 0.125], [0, 0, 1.0]])
-    violations = validate_ground_truth(D, tau=2)
+    violations = _validate_ground_truth(D, tau=2)
     assert violations, "over-dense row must be flagged"
     assert any("row 1" in v for v in violations)
 
 
 def test_validator_flags_diagonal_not_one() -> None:
     D = np.array([[2.0, 0.0], [1.0, 0.0]])
-    assert validate_ground_truth(D, tau=2) != []
+    assert _validate_ground_truth(D, tau=2) != []
 
 
 def test_validator_flags_rank_mismatch() -> None:
     # no row is independent-shaped, yet the matrix has rank 1: both the
     # parent rule and the rank rule must fire
     D = np.array([[0.0, 1.0], [0.0, 0.0]])
-    violations = validate_ground_truth(D, tau=1)
+    violations = _validate_ground_truth(D, tau=1)
     assert any("rank" in v for v in violations)
     assert any("not an independent row" in v for v in violations)
 
@@ -163,7 +162,7 @@ def test_alias_matrix_validates_by_shape() -> None:
     # validator has no way to know x3 was dependent in the generating
     # model; the matrix passes. Disqualifying it is the covariance
     # constraint's job (see the solver tests).
-    assert validate_ground_truth(PAIR_SUM_ALIAS, tau=2) == []
+    assert _validate_ground_truth(PAIR_SUM_ALIAS, tau=2) == []
 
 
 # -------------------------------------------------------------- true_edges
@@ -207,7 +206,7 @@ def test_induced_covariance_identity() -> None:
 def test_induced_covariance_dataset1_entry(truth_matrices) -> None:
     # cov(x2, x3) = 2 * 0.4 * Var(x1) = 5/3
     spec = builtin_spec(1)
-    got = induced_covariance(truth_matrices[1], spec.analytic_variances())
+    got = induced_covariance(truth_matrices[1], analytic_variances(spec))
     assert got[1, 2] == pytest.approx(5.0 / 3.0)
 
 
@@ -248,7 +247,7 @@ def test_sample_covariance_converges_to_induced() -> None:
         ds = sample(spec, m, seed=4)
         Sigma, _ = sample_covariance(ds)
         induced = induced_covariance(
-            spec.structural_matrix(), spec.analytic_variances())
+            spec.structural_matrix(), analytic_variances(spec))
         bound = 5.0 * float(np.max(np.diag(induced))) / np.sqrt(m)
         assert float(np.max(np.abs(Sigma - induced))) < bound, f"dataset {ds_id}"
 

@@ -24,19 +24,15 @@ from slcd import (
     builtin_spec,
     center,
     load_dataset,
-    objective,
-    residuals,
     resolve_epsilons,
     row_threshold,
     sample,
     sample_covariance,
     save_dataset,
     slcd,
-    smoothed_rank,
-    smoothed_trace,
 )
 from slcd import _csvio, _fork, solver
-from slcd.objective import _Workspace
+from slcd.objective import _residuals, _smoothed_rank, _smoothed_trace, _Workspace, objective
 from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
 from conftest import PAIR_SUM_ALIAS, without_wall
 from oracle_utils import line_search_doubling, objective_of, row_threshold_loop, solve_relaxed
@@ -140,8 +136,8 @@ def test_solve_relaxed_from_truth_descends() -> None:
 def test_solve_relaxed_from_identity_reduces_cov_residual() -> None:
     spec, ds, Sigma, sd, hp = _problem(2)
     out = solve_relaxed(np.eye(4), ds.X, Sigma, sd, hp)
-    _, cov_identity = residuals(np.eye(4), ds.X, Sigma, sd)
-    _, cov_out = residuals(out, ds.X, Sigma, sd)
+    _, cov_identity = _residuals(np.eye(4), ds.X, Sigma, sd)
+    _, cov_out = _residuals(out, ds.X, Sigma, sd)
     assert cov_out < cov_identity
 
 
@@ -218,8 +214,8 @@ def test_slcd_avoids_identity_on_sum_model(pair_sum_data) -> None:
     result = slcd(pair_sum_data, Hyperparams(restarts=8))
     assert not np.allclose(result.D_opt, np.eye(3), atol=0.2)
     # the winner respects the covariance constraint far better than I
-    _, cov_winner = residuals(result.D_opt, ds.X, Sigma, sd)
-    _, cov_identity = residuals(np.eye(3), ds.X, Sigma, sd)
+    _, cov_winner = _residuals(result.D_opt, ds.X, Sigma, sd)
+    _, cov_identity = _residuals(np.eye(3), ds.X, Sigma, sd)
     assert cov_winner < 1e-2 * cov_identity
 
 
@@ -255,7 +251,7 @@ def test_slcd_accepts_raw_arrays(ds2_data, fast_hp) -> None:
 
 def test_slcd_reports_reference_objective(ds2_data, fast_hp, monkeypatch) -> None:
     """J_min and each restart's residuals, computed on the Gram-matrix
-    core, agree with the public X-form objective() and residuals()."""
+    core, agree with the public X-form objective() and _residuals()."""
     candidates = []
 
     def recording_threshold(D, tau):
@@ -280,7 +276,7 @@ def test_slcd_reports_reference_objective(ds2_data, fast_hp, monkeypatch) -> Non
         # restart r's candidates, one per round; its record holds the best
         best = min([c[r] for c in candidates], key=lambda D: abs(reference(D) - rec.objective))
         assert rec.objective == pytest.approx(reference(best), rel=1e-9)
-        recon, cov = residuals(best, ds.X, Sigma, sd)
+        recon, cov = _residuals(best, ds.X, Sigma, sd)
         assert rec.recon_residual == pytest.approx(recon, rel=1e-9)
         assert rec.cov_residual == pytest.approx(cov, rel=1e-9)
 
@@ -412,9 +408,9 @@ def test_workspace_evaluate_matches_objective(seed: int) -> None:
     f_only, c_only, none = ws.evaluate(Z, jac=False)
     assert none is None
     for i, D in enumerate(Ds):
-        recon, cov = residuals(D, ds.X, Sigma, sd)
+        recon, cov = _residuals(D, ds.X, Sigma, sd)
         assert f[i] == pytest.approx(
-            smoothed_rank(D, hp.sigma) + hp.lam * smoothed_trace(D, hp.sigma), rel=1e-12)
+            _smoothed_rank(D, hp.sigma) + hp.lam * _smoothed_trace(D, hp.sigma), rel=1e-12)
         assert c[i, 0] + hp.eps1 == pytest.approx(recon, rel=1e-10)
         assert c[i, 1] + hp.eps2 == pytest.approx(cov, rel=1e-10)
         assert f_only[i] == pytest.approx(f[i], rel=1e-12)
