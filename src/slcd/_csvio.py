@@ -7,12 +7,10 @@ slcd compiles and loads none of it.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import os
 import shutil
 import tempfile
-from functools import partial
 
 import numpy as np
 
@@ -56,8 +54,7 @@ def write(X: np.ndarray, path: str) -> None:
     this process holds no more text than one _WRITE_BLOCK."""
     m = X.shape[1]
     pieces = [(start, min(start + _WRITE_PIECE, m)) for start in range(0, m, _WRITE_PIECE)]
-    workers = _fork._workers(len(pieces))
-    if workers == 1:
+    if _fork._workers(len(pieces)) == 1:   # one file, no part files
         _write_part(X, 0, m, path)
         return
     # path is opened first, so that an unwritable path fails under its own
@@ -65,10 +62,10 @@ def write(X: np.ndarray, path: str) -> None:
     # when the directory is removed
     with open(path, "wb") as fh, \
             tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as parts, \
-            _fork._pool(workers, X) as pool:
+            _fork._runner(len(pieces), X) as (_, run):
         tasks = [(start, stop, os.path.join(parts, f"{k}.csv"))
                  for k, (start, stop) in enumerate(pieces)]
-        for part in pool.map(partial(_fork._worker_call, _write_part), tasks):
+        for part in run(_write_part, tasks):
             with open(part, "rb") as src:
                 shutil.copyfileobj(src, fh)
             os.remove(part)
@@ -181,12 +178,9 @@ def read(path: str) -> np.ndarray:
         if rows:
             tasks.append((start, stop, line, row, rows))
         line, row = line + lines, row + rows
-    state = (path, n, X)
-    workers = _fork._workers(len(tasks))
-    with _fork._pool(workers, state) if workers > 1 else contextlib.nullcontext() as pool:
-        faults = (pool.map(partial(_fork._worker_call, _parse_piece), tasks) if pool
-                  else (_parse_piece(state, *task) for task in tasks))
-        fault = next((f for f in faults if f is not None), None)
+    # in this process, the pieces after the first malformed one are not parsed
+    with _fork._runner(len(tasks), (path, n, X)) as (_, run):
+        fault = next((f for f in run(_parse_piece, tasks) if f is not None), None)
     if fault is not None:
         raise ValueError(f"{path}:{fault}")
     X.flags.writeable = False

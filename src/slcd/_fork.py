@@ -2,18 +2,20 @@
 the restart rounds of solver.slcd() and the grid cells of
 evaluation.sweep().
 
-A pool forks its workers from the calling process, so each one starts
-with the caller's state object in shared memory and nothing of it is
-copied. _workers decides whether a pool starts at all; where it does
-not, the caller runs its tasks in its own process, to the same result.
-multiprocessing is imported only when a pool may start, so that importing
-slcd stays short.
+Callers go through _runner, which yields the number of processes and a
+run(fn, args) that maps fn over the tasks. A pool forks its workers from
+the calling process, so each one starts with the caller's state object
+in shared memory and nothing of it is copied. _workers decides whether a
+pool starts at all; where it does not, run calls fn in the calling
+process, to the same result. multiprocessing is imported only when a
+pool may start, so that importing slcd stays short.
 """
 from __future__ import annotations
 
 import contextlib
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -102,3 +104,19 @@ def _pool(workers: int, state):
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _runner(tasks: int, state, blas: bool = False):
+    """Yields (workers, run), workers being _workers(tasks, blas). run(fn,
+    args) is an iterator of fn(state, *a) for each a in args, in order:
+    on a _pool of workers processes holding state when workers > 1, where
+    every task is submitted at once; else computed lazily in this process,
+    each as the iterator reaches it. Results are to be taken before the
+    context exits, which drops the pool's unstarted tasks."""
+    workers = _workers(tasks, blas)
+    if workers == 1:
+        yield 1, lambda fn, args: (fn(state, *a) for a in args)
+        return
+    with _pool(workers, state) as pool:
+        yield workers, lambda fn, args: pool.map(partial(_worker_call, fn), args)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import sys
 import time
 from functools import partial
@@ -42,7 +40,7 @@ from .reference import (
     REFERENCE_COMPARISON,
     REFERENCE_ESTIMATES,
 )
-from .scm_core import ScmSpec, StructuralMatrix, true_edges
+from .scm_core import ScmSpec, StructuralMatrix, _require_finite, _require_integer, true_edges
 from .solver import SolverAbort, SolverControls, slcd
 
 __all__ = ["main"]
@@ -99,11 +97,12 @@ def _scalar(kind: type, low: int, value, where: str):
     """value as a scalar setting: an int of at least low, or a finite
     float above it. A value of the wrong kind or range, such as a string,
     a bool, a list or a config null, is a usage error."""
-    if kind is int:
-        ok = isinstance(value, numbers.Integral) and value >= low
-    else:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value) and value > low
-    if isinstance(value, bool) or not ok:
+    try:
+        (_require_integer if kind is int else _require_finite)(value=value)
+        ok = value >= low if kind is int else value > low
+    except ValueError:
+        ok = False
+    if not ok:
         what = f"an integer of at least {low}" if kind is int else f"a finite number above {low}"
         raise _CliError(EXIT_USAGE, f"{where} must be {what}, got {value!r}")
     return kind(value)
@@ -120,17 +119,17 @@ def _hyper(key: str, value, where: str):
 
 def _grid(raw, where: str) -> tuple[float, ...]:
     """A sweep grid: a comma-separated string (flag or config) or a
-    config list of real numbers. Any other config value, or a list that
+    config list of finite numbers. Any other config value, or a list that
     holds a bool, a string or an object, is a usage error."""
     values = ()
-    if isinstance(raw, str):
-        try:
+    try:
+        if isinstance(raw, str):
             values = tuple(float(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            pass
-    elif isinstance(raw, list) and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                       for v in raw):
-        values = tuple(float(v) for v in raw)
+        elif isinstance(raw, list):
+            _require_finite(**{str(i): v for i, v in enumerate(raw)})
+            values = tuple(float(v) for v in raw)
+    except ValueError:
+        pass
     if not values:
         raise _CliError(EXIT_USAGE, f"{where} must be a non-empty list of numbers, got {raw!r}")
     return values

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef
+from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef, _require_integer
 
 __all__ = [
     "Dataset",
@@ -96,7 +96,8 @@ _BUILTIN_SPECS: dict[int, ScmSpec] = {
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n-by-m sample matrix (columns are samples) plus provenance."""
+    """An n-by-m sample matrix (columns are samples) plus provenance: the
+    name of the spec it was drawn from, a string, and its integer seed."""
 
     X: np.ndarray
     spec_name: str
@@ -117,6 +118,9 @@ class Dataset:
         if a.ndim != 2:
             raise ValueError(f"data must be a 2-d matrix, got shape {a.shape}")
         object.__setattr__(self, "X", a)
+        if not isinstance(self.spec_name, str):
+            raise ValueError(f"spec_name must be a string, got {self.spec_name!r}")
+        _require_integer(seed=self.seed)
 
     @property
     def n(self) -> int:
@@ -248,10 +252,11 @@ def load_dataset(csv_path: str) -> Dataset:
     names the first malformed line. The file is read in pieces on up to
     one process per CPU (see _csvio). The sidecar is optional; without
     it the provenance fields fall back to neutral values; a sidecar that
-    is not valid JSON, is not a JSON object, or whose seed is not an
-    integer is a ValueError that names it. A "centered" value in the
-    sidecar, which earlier versions wrote, is ignored: data read from a
-    file are never taken as centred, so slcd() centres them."""
+    is not valid JSON, is not a JSON object, whose seed is not an
+    integer or whose spec_name is not a string is a ValueError that
+    names it. A "centered" value in the sidecar, which earlier versions
+    wrote, is ignored: data read from a file are never taken as centred,
+    so slcd() centres them."""
     from . import _csvio
 
     X = _csvio.read(csv_path)
@@ -266,7 +271,7 @@ def load_dataset(csv_path: str) -> Dataset:
         if not isinstance(loaded, dict):
             raise ValueError(f"{sidecar}: sidecar must be a JSON object")
         meta.update({k: loaded[k] for k in ("spec_name", "seed") if k in loaded})
-        seed = meta["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"{sidecar}: seed must be an integer, got {seed!r}")
-    return Dataset(X=X, spec_name=str(meta["spec_name"]), seed=meta["seed"])
+    try:
+        return Dataset(X=X, **meta)
+    except ValueError as exc:   # X is a matrix, so the sidecar's spec_name or seed
+        raise ValueError(f"{sidecar}: {exc}") from None

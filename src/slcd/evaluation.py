@@ -7,11 +7,9 @@ precision/recall of the extracted edge set against the true links.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import time
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,15 +57,7 @@ class MetricBundle:
     precision_undefined: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "reconstruction_error": self.reconstruction_error,
-            "structure_error": self.structure_error,
-            "covariance_error": self.covariance_error,
-            "precision": self.precision,
-            "recall": self.recall,
-            "correct_links": self.correct_links,
-            "precision_undefined": self.precision_undefined,
-        }
+        return asdict(self)
 
 
 def reconstruction_error(D_hat, X) -> float:
@@ -248,7 +238,7 @@ def sweep(dataset_id: int,
     cell index, so results do not depend on execution order or on the
     processes they run on. The cells run on up to one forked process per
     usable CPU, each of which solves its cells' restarts itself rather
-    than forking more; where no pool may start (see _fork._workers) they
+    than forking more; where no pool may start (see _fork._runner) they
     run in this process, in order, and each slcd() call may fork its own.
     A cell whose solve aborts is recorded with its error and the sweep
     continues.
@@ -274,10 +264,8 @@ def sweep(dataset_id: int,
 
     # Processes, not threads: the solver is Python-bound and holds the
     # interpreter lock.
-    workers = _fork._workers(len(tasks), blas=True)
-    with _fork._pool(workers, state) if workers > 1 else contextlib.nullcontext() as pool:
-        cells = list(pool.map(partial(_fork._worker_call, _run_cell), tasks) if pool
-                     else (_run_cell(state, *task) for task in tasks))
+    with _fork._runner(len(tasks), state, blas=True) as (_, run):
+        cells = list(run(_run_cell, tasks))
     return SweepResult(
         dataset_id=int(dataset_id),
         sigma_grid=sigma_grid,

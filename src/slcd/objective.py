@@ -14,13 +14,11 @@ the Gram matrix G = X X^T and the covariance.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scm_core import _matrix_entries
+from .scm_core import _matrix_entries, _require_finite, _require_integer
 
 __all__ = [
     "EPS_REL",
@@ -39,22 +37,6 @@ __all__ = [
 # slack, whole families of wrong supports become feasible and the rank
 # term alone cannot tell them apart.
 EPS_REL = 1e-8
-
-
-def _require_finite(**values) -> None:
-    """Reject anything but a finite real number, with a ValueError that
-    names the field."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise ValueError(f"{name} must be a finite number, got {v!r}")
-
-
-def _require_integer(**values) -> None:
-    """Reject anything but an integer (bool included), with a ValueError
-    that names the field."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)

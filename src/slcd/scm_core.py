@@ -30,6 +30,26 @@ __all__ = [
 ]
 
 
+def _require_finite(**values) -> None:
+    """Reject anything but a finite real number within the float range
+    (bool included), with a ValueError that names the field."""
+    for name, v in values.items():
+        try:
+            ok = not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+def _require_integer(**values) -> None:
+    """Reject anything but an integer (bool included), with a ValueError
+    that names the field."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Uniform distribution on the open interval (a, b)."""
@@ -78,12 +98,14 @@ Distribution = Uniform | Gaussian
 
 
 def distribution_from_json(obj: dict) -> Distribution:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a distribution must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "uniform":
-        return Uniform(float(obj["a"]), float(obj["b"]))
-    if kind == "gaussian":
-        return Gaussian(float(obj["mean"]), float(obj["variance"]))
-    raise ValueError(f"unknown distribution kind: {kind!r}")
+    params = {"uniform": ("a", "b"), "gaussian": ("mean", "variance")}.get(kind)
+    if params is None:
+        raise ValueError(f"unknown distribution kind: {kind!r}")
+    _require_finite(**{p: obj[p] for p in params})
+    return (Uniform if kind == "uniform" else Gaussian)(*(float(obj[p]) for p in params))
 
 
 @dataclass(frozen=True)
@@ -129,11 +151,15 @@ class VariableDef:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VariableDef":
-        if obj.get("role") == "independent":
+        role = obj.get("role") if isinstance(obj, dict) else None
+        if role == "independent":
             return cls.independent(distribution_from_json(obj["dist"]))
-        if obj.get("role") == "dependent":
-            return cls.dependent(tuple((int(j), float(c)) for j, c in obj["terms"]))
-        raise ValueError(f"unknown variable role: {obj.get('role')!r}")
+        if role == "dependent":
+            for j, c in obj["terms"]:
+                _require_integer(parent=j)
+                _require_finite(coefficient=c)
+            return cls.dependent(obj["terms"])
+        raise ValueError(f"unknown variable role: {role!r}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +174,8 @@ class ScmSpec:
     variables: tuple[VariableDef, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
         if not self.variables:
             raise ValueError("spec needs at least one variable")
@@ -186,7 +214,7 @@ class ScmSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ScmSpec":
         return cls(
-            name=str(obj["name"]),
+            name=obj["name"],
             variables=tuple(VariableDef.from_json(v) for v in obj["variables"]),
         )
 
@@ -221,10 +249,11 @@ class StructuralMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructuralMatrix":
-        n = obj["n"]
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        m = cls(np.array(obj["rows"], dtype=float))
+        n, rows = obj["n"], obj["rows"]
+        _require_integer(n=n)
+        for i, row in enumerate(rows):
+            _require_finite(**{f"rows[{i}][{j}]": v for j, v in enumerate(row)})
+        m = cls(np.array(rows, dtype=float))
         if m.n != n:
             raise ValueError(f"declared n={n} does not match {m.n} rows")
         return m

@@ -35,15 +35,12 @@ step's first window holds one step, and each later window is twice the
 one before: a search that accepts a step no more than one halving
 below its last ends in one round. Every row is computed on its own, so
 a restart's iterates are bit-identical whatever the stack it runs in.
-slcd() uses that to solve each round on one forked process per usable
-CPU, each with a block of at least _MIN_BLOCK restarts: the pool is
-forked once per call, after the Gram workspace is built, which the
-workers then share, and each worker solves one contiguous block of the
-restart stack. The blocks are joined in restart order, and the calling
-process thresholds all restarts with one row_threshold call and scores
-them with one evaluation. Where no pool may start (see _fork._workers)
-the whole stack is solved in the calling process, to the same bits. A
-restart's wall_ms is its share of the run's time by SQP iterations.
+slcd() uses that to split each round's stack into contiguous blocks of
+at least _MIN_BLOCK restarts, one per process that _fork._runner gives
+it, and joins the solved blocks in restart order; the calling process
+then thresholds all restarts with one row_threshold call and scores
+them with one evaluation. A restart's wall_ms is its share of the run's
+time by SQP iterations.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -51,18 +48,16 @@ structure's basin.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from . import _fork
 from .datagen import _as_dataset, center
-from .objective import Hyperparams, _require_integer, _Workspace, resolve_epsilons
-from .scm_core import StructuralMatrix
+from .objective import Hyperparams, _Workspace, resolve_epsilons
+from .scm_core import StructuralMatrix, _require_integer
 
 __all__ = [
     "SolverControls",
@@ -150,21 +145,9 @@ class RestartRecord:
     message: str = ""
 
     def to_json(self) -> dict:
-        def clean(v):
-            return None if not math.isfinite(v) else v
-
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "objective": clean(self.objective),
-            "running_min": clean(self.running_min),
-            "recon_residual": clean(self.recon_residual),
-            "cov_residual": clean(self.cov_residual),
-            "iterations": self.iterations,
-            "wall_ms": self.wall_ms,
-            "aborted": self.aborted,
-            "message": self.message,
-        }
+        """The fields in order, a NaN or infinite float as None."""
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -424,19 +407,6 @@ def row_threshold(D, tau: int) -> np.ndarray:
     return out
 
 
-def _sqp_blocks(pool, blocks: int, ws: _Workspace, D: np.ndarray,
-                controls: SolverControls) -> tuple[np.ndarray, list[int]]:
-    """_sqp on the stack D: in this process when pool is None, else on the
-    pool's workers, whose _worker_state is ws, one contiguous block of D
-    each, with the iterates and iteration counts joined in stack order.
-    Each member is computed on its own, so both give the same bits."""
-    if pool is None:
-        return _sqp(ws, D, controls)
-    parts = list(pool.map(partial(_fork._worker_call, _sqp),
-                          [(block, controls) for block in np.array_split(D, blocks)]))
-    return np.concatenate([Z for Z, _ in parts]), [it for _, its in parts for it in its]
-
-
 def _records(seed: int, best_j, best_res, iters, wall, why: str) -> list[RestartRecord]:
     """The restart log from per-restart arrays: the best score best_j,
     its (recon, cov) residuals best_res, the SQP iterations and the wall
@@ -463,15 +433,13 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     and controls.seed: restart r draws its start from
     SeedSequence(entropy=controls.seed, spawn_key=(r,)).
 
-    The restarts are solved on min(hp.restarts // _MIN_BLOCK, usable
-    CPUs) processes, forked once per call: in each round every process
-    advances one contiguous block of the restart stack, and then one
-    stacked call in this process thresholds all restarts and one more
-    scores them. The result is the same bits on any number of processes;
-    one process, this one, runs the solves when that number is 1 or a
-    pool cannot or should not start (see _fork._workers), as where
-    numpy's BLAS is not known to survive a fork. A worker that dies
-    fails the call with concurrent.futures.process.BrokenProcessPool.
+    The restarts are solved on up to one process per usable CPU, with
+    at least _MIN_BLOCK restarts each (see _fork._runner, which says
+    where no pool starts): in each round every process advances one
+    contiguous block of the restart stack, and then one stacked call in
+    this process thresholds all restarts and one more scores them. The
+    result is the same bits on any number of processes. A worker that
+    dies fails the call with concurrent.futures.process.BrokenProcessPool.
     A restart's wall_ms is the run's wall_ms times its share of all SQP
     iterations (an even share when no restart iterated), so the
     restarts' wall_ms add up to the result's wall_ms.
@@ -506,12 +474,11 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     t_start = time.perf_counter()
     seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
     D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
-    workers = _fork._workers(R // _MIN_BLOCK, blas=True)
-    with _fork._pool(workers, ws) if workers > 1 else contextlib.nullcontext() as pool:
+    with _fork._runner(R // _MIN_BLOCK, ws, blas=True) as (workers, run):
         for _ in range(hp_res.iterations):
-            D, its = _sqp_blocks(pool, workers, ws, D, controls)
-            iters += its
-            D = row_threshold(D, tau_eff)
+            parts = list(run(_sqp, [(block, controls) for block in np.array_split(D, workers)]))
+            iters += [it for _, its in parts for it in its]
+            D = row_threshold(np.concatenate([Z for Z, _ in parts]), tau_eff)
             f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
             # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
             # residual in the score, where Python's max(0.0, nan) is 0.0

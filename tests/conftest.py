@@ -1,9 +1,11 @@
 """Shared fixtures: small benchmark samples, the non-uniqueness
-fixture model, a hypothesis profile sized for CI, and a check that no
-test leaves a child process behind."""
+fixture model, a hypothesis profile sized for CI, a chosen usable CPU
+count for the worker pools, and a check that no test leaves a child
+process behind."""
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from slcd import (
     builtin_spec,
     sample,
 )
+from slcd import _fork
 
 settings.register_profile(
     "ci", max_examples=40, deadline=None,
@@ -36,6 +39,30 @@ def no_child_process_left():
         left = sys.modules["multiprocessing"].active_children()
         if left:
             pytest.fail(f"child processes left running: {left}")
+
+
+@pytest.fixture()
+def usable_cpus():
+    """usable_cpus(n) sets the usable CPU count of the worker pools to n
+    for the rest of the test and returns a spy on _fork._pool, its call
+    count reset. At the end no ResourceWarning was issued
+    (no_child_process_left checks that no pool process is left)."""
+    import gc
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(_fork, "_usable_cpus") as cpus, \
+            mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
+        warnings.simplefilter("always", ResourceWarning)
+
+        def set_cpus(n: int):
+            cpus.return_value = n
+            pool.reset_mock()
+            return pool
+
+        yield set_cpus
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.fixture(scope="session")

@@ -106,6 +106,42 @@ def test_generate_from_spec_file(tmp_path) -> None:
     assert load_dataset(str(out)).X.shape == (3, 20)
 
 
+MISTYPED_SPECS = {
+    "parent-fraction": ("variables", 1, "terms", [[0.7, 0.5]]),
+    "parent-bool": ("variables", 1, "terms", [[False, 0.5]]),
+    "coefficient-string": ("variables", 1, "terms", [[0, "0.5"]]),
+    "coefficient-null": ("variables", 1, "terms", [[0, None]]),
+    "bound-string": ("variables", 0, "dist", {"kind": "uniform", "a": "-2.5", "b": 2.5}),
+    "bound-bool": ("variables", 0, "dist", {"kind": "uniform", "a": -2.5, "b": True}),
+    "bound-huge-int": ("variables", 0, "dist", {"kind": "uniform", "a": -2.5, "b": 10 ** 400}),
+    "variance-string": ("variables", 0, "dist", {"kind": "gaussian", "mean": 0.0, "variance": "4"}),
+    "dist-list": ("variables", 0, "dist", [-2.5, 2.5]),
+    "variable-string": ("variables", 0, None, "independent"),
+    "name-number": ("name", None, None, 7),
+}
+
+
+@pytest.mark.parametrize("where", MISTYPED_SPECS.values(), ids=MISTYPED_SPECS.keys())
+def test_generate_rejects_mistyped_spec(tmp_path, capsys, where) -> None:
+    """A spec value of the wrong type, in dataset 1's spec, is an invalid
+    spec file (exit 2), not a value converted to the expected type."""
+    key, index, field, value = where
+    spec = builtin_spec(1).to_json()
+    if index is None:
+        spec[key] = value
+    elif field is None:
+        spec[key][index] = value
+    else:
+        spec[key][index][field] = value
+    spec_path = tmp_path / "model.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run("generate", "--spec", str(spec_path), "--m", "20",
+               "--out", str(tmp_path / "d.csv")) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec file" in err and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_generate_rejects_zero_samples(tmp_path, capsys) -> None:
     assert run("generate", "--dataset", "2", "--m", "0",
                "--out", str(tmp_path / "x.csv")) == 2
@@ -299,6 +335,9 @@ MALFORMED_SIDECARS = {
     "seed-overflow": '{"seed": 1e400}',
     "seed-fraction": '{"seed": 1.7}',
     "seed-bool": '{"seed": true}',
+    "spec-name-object": '{"spec_name": {"a": [1]}, "seed": 3}',
+    "spec-name-number": '{"spec_name": 7}',
+    "spec-name-null": '{"spec_name": null}',
     "list": '["seed"]',
     "string": '"seed"',
     "not-json": '{"seed": ',
@@ -307,9 +346,9 @@ MALFORMED_SIDECARS = {
 
 @pytest.mark.parametrize("text", MALFORMED_SIDECARS.values(), ids=MALFORMED_SIDECARS.keys())
 def test_malformed_sidecar_is_io_error(ds2_csv, tmp_path, capsys, text) -> None:
-    """A sidecar that is not valid JSON, is not a JSON object, or whose
-    seed is not an integer is a ValueError that names it, and discover
-    and evaluate exit 3 on it."""
+    """A sidecar that is not valid JSON, is not a JSON object, whose seed
+    is not an integer or whose spec_name is not a string is a ValueError
+    that names it, and discover and evaluate exit 3 on it."""
     data = tmp_path / "d.csv"
     data.write_bytes(Path(ds2_csv).read_bytes())
     sidecar = tmp_path / "d.json"
@@ -482,11 +521,12 @@ def test_messages_name_the_source(tmp_path, capsys, key, flag_value, config_valu
 
 @pytest.mark.parametrize("key, value", [
     ("sigma_grid", {"0.3": 1}), ("lambda_grid", ["0.5"]), ("lambda_grid", [True]),
-    ("sigma_grid", [0.3, None]),
+    ("sigma_grid", [0.3, None]), ("sigma_grid", [10 ** 400]),
 ])
 def test_config_grid_must_list_numbers(tmp_path, capsys, key, value) -> None:
-    """A config grid is a string or a list of real numbers: an object, a
-    string item or a bool item is a usage error under the config key."""
+    """A config grid is a string or a list of finite numbers: an object,
+    a string item, a bool item or an integer beyond the float range is a
+    usage error under the config key."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
     out = tmp_path / "grid.csv"
@@ -608,7 +648,8 @@ _FRACTIONAL = st.floats(1e-3, 1e6).filter(lambda v: not v.is_integer())
 def test_invalid_config_scalars_are_usage_errors(tmp_path_factory, data) -> None:
     key = data.draw(st.sampled_from(sorted(_SCALAR_KEY_COMMANDS)))
     # a positive fraction is a valid theta
-    value = data.draw(_NOT_A_COUNT if key == "theta" else st.one_of(_NOT_A_COUNT, _FRACTIONAL))
+    value = data.draw(st.one_of(_NOT_A_COUNT, st.just(10 ** 400)) if key == "theta"
+                      else st.one_of(_NOT_A_COUNT, _FRACTIONAL))
     command = data.draw(st.sampled_from(_SCALAR_KEY_COMMANDS[key]))
     work = tmp_path_factory.mktemp("scalar")
     config = work / "config.json"
@@ -668,6 +709,13 @@ GARBAGE_RESULTS = {
     "null": None,
     "n-fraction": {"n": 2.9, "rows": [[1.0, 0.0], [0.0, 1.0]]},
     "n-string": {"n": "2", "rows": [[1.0, 0.0], [0.0, 1.0]]},
+    "entry-strings": {"n": 2, "rows": [["1", "0"], [True, "1e0"]]},
+    "entry-bool": {"n": 2, "rows": [[1.0, 0.0], [True, 1.0]]},
+    "entry-string": {"n": 2, "rows": [[1.0, 0.0], [0.0, "1e0"]]},
+    "entry-null": {"n": 2, "rows": [[1.0, None], [0.0, 1.0]]},
+    "entry-list": {"n": 2, "rows": [[1.0, [0.0]], [0.0, 1.0]]},
+    "entry-huge-int": {"n": 2, "rows": [[1.0, 10 ** 400], [0.0, 1.0]]},
+    "row-not-a-list": {"n": 2, "rows": [[1.0, 0.0], 1.0]},
 }
 
 

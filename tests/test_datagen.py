@@ -27,7 +27,7 @@ from slcd import (
     save_dataset,
     slcd,
 )
-from slcd import _csvio, _fork
+from slcd import _csvio
 from oracle_utils import analytic_variances, induced_covariance
 
 UNIFORM_VARIANCE = 25.0 / 12.0
@@ -296,6 +296,15 @@ def test_sidecar_centered_claim_is_ignored(tmp_path) -> None:
     assert a.D_opt.tobytes() == b.D_opt.tobytes()
 
 
+@pytest.mark.parametrize("spec_name, seed", [(7, 0), (None, 0), ("d", 1.5), ("d", True)])
+def test_dataset_rejects_mistyped_provenance(spec_name, seed) -> None:
+    """A Dataset names its spec with a string and its seed with an
+    integer, so save_dataset() writes only sidecars that load_dataset()
+    reads back."""
+    with pytest.raises(ValueError):
+        Dataset(X=np.zeros((2, 3)), spec_name=spec_name, seed=seed)
+
+
 def test_dataset_normalizes_memory_layout(tmp_path) -> None:
     from slcd import Dataset
 
@@ -355,21 +364,10 @@ def test_center_allocates_the_result_once() -> None:
 # ------------------------------------------------- the CSV codec in pieces
 
 @pytest.fixture()
-def two_cpus():
-    """The usable CPU count set to 2, so that more than one piece runs on
-    a pool on any host; yields a spy on _fork._pool. Afterwards no
-    ResourceWarning was issued (conftest checks that no pool process is
-    left)."""
-    import gc
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(_fork, "_usable_cpus", return_value=2), \
-            mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
-        warnings.simplefilter("always", ResourceWarning)
-        yield pool
-        gc.collect()
-    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+def two_cpus(usable_cpus):
+    """Two usable CPUs, so that more than one piece runs on a pool on any
+    host: a spy on _fork._pool."""
+    return usable_cpus(2)
 
 
 @pytest.mark.parametrize("m", [1, 4, 5, 6, 11])
@@ -432,12 +430,12 @@ def test_csv_round_trip_in_pieces_is_bit_identical(tmp_path, two_cpus) -> None:
     assert back.X.flags.c_contiguous and not back.X.flags.writeable
 
 
-def test_more_processes_than_cpus_write_disjoint_columns(tmp_path) -> None:
+def test_more_processes_than_cpus_write_disjoint_columns(tmp_path, usable_cpus) -> None:
     """Six processes on small pieces share X and the output: every piece
     lands in its own columns and its own place in the file."""
     ds = sample(builtin_spec(4), 2000, 5)
-    with mock.patch.object(_fork, "_usable_cpus", return_value=6), \
-            mock.patch.object(_csvio, "_WRITE_PIECE", 97), mock.patch.object(_csvio, "_READ_PIECE", 999):
+    usable_cpus(6)
+    with mock.patch.object(_csvio, "_WRITE_PIECE", 97), mock.patch.object(_csvio, "_READ_PIECE", 999):
         csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
         back = load_dataset(csv_path)
     assert Path(csv_path).read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ds.X)
@@ -452,11 +450,10 @@ def test_unwritable_path_is_reported_under_its_name(tmp_path, two_cpus) -> None:
     assert err.value.filename == str(path)
 
 
-def test_one_cpu_runs_the_pieces_in_process(tmp_path) -> None:
+def test_one_cpu_runs_the_pieces_in_process(tmp_path, usable_cpus) -> None:
     ds = sample(builtin_spec(2), 500, 3)
-    with mock.patch.object(_fork, "_usable_cpus", return_value=1), \
-            mock.patch.object(_fork, "_pool") as pool, \
-            mock.patch.object(_csvio, "_WRITE_PIECE", 64), mock.patch.object(_csvio, "_READ_PIECE", 512):
+    pool = usable_cpus(1)
+    with mock.patch.object(_csvio, "_WRITE_PIECE", 64), mock.patch.object(_csvio, "_READ_PIECE", 512):
         csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
         back = load_dataset(csv_path)
     pool.assert_not_called()

@@ -207,10 +207,10 @@ def test_metric_bundle_flags_empty_estimate(ds2_data, truth_matrices) -> None:
 
 def test_metric_bundle_json_keys(ds2_data, truth_matrices) -> None:
     b = metric_bundle(truth_matrices[2], ds2_data, truth_matrices[2])
-    assert set(b.to_json()) == {
+    assert list(b.to_json()) == [
         "reconstruction_error", "structure_error", "covariance_error",
         "precision", "recall", "correct_links", "precision_undefined",
-    }
+    ]
 
 
 def test_metric_bundle_accepts_raw_array(ds2_data, truth_matrices) -> None:
@@ -247,7 +247,7 @@ def test_sweep_rejects_duplicate_grid_values() -> None:
         sweep(2, sigma_grid=(0.3, 0.3), lambda_grid=(5.0,))
 
 
-def test_sweep_cell_order_row_major(monkeypatch) -> None:
+def test_sweep_cell_order_row_major(monkeypatch, usable_cpus) -> None:
     calls: list[tuple[float, float]] = []
 
     def fake(data, hp, controls):
@@ -256,7 +256,7 @@ def test_sweep_cell_order_row_major(monkeypatch) -> None:
 
     monkeypatch.setattr("slcd.evaluation.slcd", fake)
     # calls is recorded in this process, so the cells must run here
-    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
+    usable_cpus(1)
     result = sweep(2, sigma_grid=(0.1, 0.3), lambda_grid=(1.0, 5.0))
     assert calls == [(0.1, 1.0), (0.1, 5.0), (0.3, 1.0), (0.3, 5.0)]
     assert [(c.sigma, c.lam) for c in result.cells] == calls
@@ -280,10 +280,10 @@ def test_sweep_continues_past_aborted_cell(monkeypatch) -> None:
     assert good.error == "" and good.metrics is not None
 
 
-def _sweep_on(cpus: int) -> tuple[int, list]:
-    """A 4-cell dataset 2 sweep, one cell of which aborts, on cpus usable
-    CPUs: the pools it started, and each cell's j_min, metrics and error.
-    The patched solver is seen by forked workers too."""
+def _sweep_cells() -> list:
+    """Each cell's j_min, metrics and error in a 4-cell dataset 2 sweep,
+    one cell of which aborts. The patched solver is seen by forked
+    workers too."""
     from slcd.solver import slcd as real_slcd
 
     def flaky(data, hp, controls):
@@ -291,42 +291,37 @@ def _sweep_on(cpus: int) -> tuple[int, list]:
             raise SolverAbort("induced failure", [])
         return real_slcd(data, hp, controls)
 
-    with mock.patch("slcd.evaluation.slcd", flaky), \
-            mock.patch.object(_fork, "_usable_cpus", return_value=cpus), \
-            mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
+    with mock.patch("slcd.evaluation.slcd", flaky):
         result = sweep(2, sigma_grid=(0.2, 0.3), lambda_grid=(1.0, 5.0),
                        hp=Hyperparams(restarts=2, iterations=1), m=200,
                        controls=SolverControls(max_inner_steps=20))
-    return pool.call_count, [(c.j_min, c.metrics, c.error) for c in result.cells]
-
-
-@pytest.fixture(scope="module")
-def one_cpu_cells() -> list:
-    return _sweep_on(1)[1]
+    return [(c.j_min, c.metrics, c.error) for c in result.cells]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_sweep_cells_match_across_cpus(one_cpu_cells, cpus) -> None:
+def test_sweep_cells_match_across_cpus(usable_cpus, cpus) -> None:
     """The cells are the bits of a one-CPU run whether they run here or
     on forked workers, which start only with two CPUs and a BLAS that
     survives a fork; the aborted cell is recorded and the sweep goes on."""
-    pools, cells = _sweep_on(cpus)
-    assert pools == (cpus == 2 and _fork._blas_forks_safely())
+    usable_cpus(1)
+    one_cpu_cells = _sweep_cells()
+    pool = usable_cpus(cpus)
+    cells = _sweep_cells()
+    assert pool.call_count == (cpus == 2 and _fork._blas_forks_safely())
     assert cells == one_cpu_cells
     assert [error for _, _, error in cells] == ["", "induced failure", "", ""]
     assert all(metrics is not None for _, metrics, error in cells if not error)
 
 
-def test_sweep_cell_worker_starts_no_pool(monkeypatch) -> None:
+def test_sweep_cell_worker_starts_no_pool(monkeypatch, usable_cpus) -> None:
     """A forked cell worker solves its cells itself: there, slcd() would
     start no solver pool of its own."""
     def report_workers(data, hp, controls):
         raise SolverAbort(str(_fork._workers(4, blas=True)), [])
 
     monkeypatch.setattr("slcd.evaluation.slcd", report_workers)
-    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
-    with mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
-        result = sweep(2, sigma_grid=(0.2, 0.3), lambda_grid=(1.0, 5.0))
+    pool = usable_cpus(2)
+    result = sweep(2, sigma_grid=(0.2, 0.3), lambda_grid=(1.0, 5.0))
     assert pool.call_count == _fork._blas_forks_safely()
     assert [c.error for c in result.cells] == ["1"] * 4
 

@@ -236,6 +236,10 @@ def test_slcd_aborts_on_nan_data() -> None:
             slcd(X, Hyperparams(restarts=2, iterations=1))
         assert len(exc_info.value.records) == 2
         assert all(r.aborted for r in exc_info.value.records)
+    # NaN and inf scores and residuals are JSON nulls
+    assert [{k: v for k, v in r.to_json().items() if v is None}
+            for r in exc_info.value.records] == [
+        dict.fromkeys(("objective", "running_min", "recon_residual", "cov_residual"))] * 2
 
 
 def test_slcd_rejects_single_sample() -> None:
@@ -337,7 +341,9 @@ def test_discovery_result_json_shape(ds2_data, fast_hp) -> None:
     assert obj["j_min"] == result.J_min
     assert obj["hyperparams"]["lambda"] == 5.0
     assert len(obj["restarts"]) == fast_hp.restarts
-    assert {"index", "objective", "running_min", "aborted"} <= set(obj["restarts"][0])
+    assert list(obj["restarts"][0]) == [
+        "index", "seed", "objective", "running_min", "recon_residual", "cov_residual",
+        "iterations", "wall_ms", "aborted", "message"]
 
 
 def test_slcd_identical_on_saved_and_loaded_data(tmp_path) -> None:
@@ -570,27 +576,18 @@ def test_slcd_restart_records_independent_of_stack_size(ds2_data, monkeypatch) -
 
 
 @pytest.mark.parametrize("restarts", [20, 11, 3, 1])
-def test_slcd_on_two_processes_matches_one(ds2_data, restarts) -> None:
+def test_slcd_on_two_processes_matches_one(ds2_data, usable_cpus, restarts) -> None:
     """With two usable CPUs the rounds are solved on a pool, in blocks of
     restarts that are uneven at 11, and in this process below two blocks
     of _MIN_BLOCK: D_opt, J_min and every record but wall_ms are the bits
-    of a one-CPU run. No ResourceWarning is issued (and conftest checks
-    that no pool process is left)."""
-    import gc
-    import warnings
-
+    of a one-CPU run."""
     hp = Hyperparams(restarts=restarts)
     runs = {}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        for cpus in (1, 2):
-            with mock.patch.object(_fork, "_usable_cpus", return_value=cpus), \
-                    mock.patch.object(_fork, "_pool", wraps=_fork._pool) as pool:
-                runs[cpus] = slcd(ds2_data, hp)
-            assert pool.call_count == (cpus == 2 and restarts >= 2 * solver._MIN_BLOCK
-                                       and _fork._blas_forks_safely())
-        gc.collect()
-    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    for cpus in (1, 2):
+        pool = usable_cpus(cpus)
+        runs[cpus] = slcd(ds2_data, hp)
+        assert pool.call_count == (cpus == 2 and restarts >= 2 * solver._MIN_BLOCK
+                                   and _fork._blas_forks_safely())
     one, two = runs[1], runs[2]
     assert two.D_opt.tobytes() == one.D_opt.tobytes()
     assert two.J_min == one.J_min
@@ -602,7 +599,7 @@ def _killed_sqp(ws, D, controls):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_dead_worker_fails_the_call(ds2_data, monkeypatch) -> None:
+def test_dead_worker_fails_the_call(ds2_data, usable_cpus, monkeypatch) -> None:
     """A solver worker that dies fails slcd() with BrokenProcessPool
     instead of leaving it waiting for ever; an alarm fails the test if
     the call hangs. The killed worker calls no BLAS, so the pool may start
@@ -610,7 +607,7 @@ def test_dead_worker_fails_the_call(ds2_data, monkeypatch) -> None:
     def hung(signum, frame):
         raise TimeoutError("slcd() waits on a dead worker")
 
-    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    usable_cpus(2)
     monkeypatch.setattr(_fork, "_blas_forks_safely", lambda: True)
     monkeypatch.setattr(solver, "_sqp", _killed_sqp)
     previous = signal.signal(signal.SIGALRM, hung)
