@@ -582,8 +582,10 @@ _COMMANDS = {
     "discover": (cmd_discover, "estimate a structural matrix", ("data", "out", "config", *_SOLVE)),
     "evaluate": (cmd_evaluate, "score an estimate against a known model",
                  ("result", "data", "dataset", "spec", "out", "theta", "config")),
+    # each cell's grid values replace sigma and lambda
     "sweep": (cmd_sweep, "grid-run discovery over hyperparameters",
-              ("dataset", "sigma_grid", "lambda_grid", "m", "out", "config", *_SOLVE)),
+              ("dataset", "sigma_grid", "lambda_grid", "m", "out", "config",
+               *(key for key in _SOLVE if key not in ("sigma", "lambda")))),
     "repro": (cmd_repro, "re-run the built-in benchmarks against the reference results",
               ("which", "out_dir", "datasets", "m", "sigma_grid", "lambda_grid",
                "config", *_SOLVE)),
@@ -598,8 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, keys) in _COMMANDS.items():
         # SUPPRESS leaves a flag not given out of args, so that _resolve()
-        # can tell it apart from one given, and a config null from a missing key
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        # can tell it apart from one given, and a config null from a missing
+        # key; without abbreviations, sweep's --sigma is not its --sigma-grid
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         for key in keys:
             p.add_argument(key if key == "which" else _flag(key), **_FLAGS[key])
         p.set_defaults(func=func)

@@ -19,7 +19,10 @@ candidate active sets of two inequalities are each solved in closed
 form from the products of H with the gradients. An l1 merit function
 with Armijo backtracking accepts the step, evaluating trial points
 without gradients; its weight starts at 1 and rises to exceed twice
-the largest multiplier.
+the largest multiplier. When no active set is usable, H is reset to the
+identity and the QP solved again; a restart whose QP still has no
+usable active set stops with its iterate, as one does when no trial
+step passes.
 
 All restarts are solved together: one SQP call advances a (k, n, n)
 stack of iterates in lockstep, with one stacked SVD per evaluation and
@@ -29,12 +32,12 @@ leaves the stack when its own solve stops. The backtracking runs in
 windows: in each round every restart still searching evaluates its next
 few trial steps in one stacked call and takes the first that passes,
 the same step as one-at-a-time backtracking. A restart's first window
-on a QP step reaches one step past the step it accepted in its previous
-iteration (alpha = 1 and 1/2 at the start of a solve), a restoration
-step's first window holds one step, and each later window is twice the
-one before: a search that accepts a step no more than one halving
-below its last ends in one round. Every row is computed on its own, so
-a restart's iterates are bit-identical whatever the stack it runs in.
+reaches one step past the step it accepted in its previous iteration
+(alpha = 1 and 1/2 at the start of a solve), and each later window is
+twice the one before: a search that accepts a step no more than one
+halving below its last ends in one round. Every row is computed on its
+own, so a restart's iterates are bit-identical whatever the stack it
+runs in.
 slcd() uses that to split each round's stack into contiguous blocks of
 at least _MIN_BLOCK restarts, one per process that _fork._runner gives
 it, and joins the solved blocks in restart order; the calling process
@@ -77,13 +80,10 @@ REFERENCE_WEIGHT = 1000.0
 
 # Constants of the SQP: the Armijo sufficient-decrease fraction (the
 # textbook 1e-4 of Nocedal & Wright, Numerical Optimization, sec. 3.1)
-# and backtracking factor of the merit line search, the first trial
-# step of the constraint-restoration fallback used when the quadratic
-# subproblem has no usable solution, and the stationarity tolerance on
-# the length of a feasible iterate's step.
+# and backtracking factor of the merit line search, and the
+# stationarity tolerance on the length of a feasible iterate's step.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_RESTORE_STEP = 1e-2
 _GRAD_TOL = 1e-6
 
 # The fewest restarts that slcd() hands one worker process. A stack's
@@ -118,10 +118,6 @@ class SolverControls:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SolverControls":
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -238,26 +234,25 @@ def _ladder(alpha: float, beta: float) -> tuple[float, ...]:
     return tuple(steps)
 
 
-# The trial steps of a QP step and of a restoration step.
-_FULL_STEPS = _ladder(1.0, _BACKTRACK)
-_RESTORE_STEPS = _ladder(_RESTORE_STEP, _BACKTRACK)
+# The trial steps of the line search.
+_STEPS = _ladder(1.0, _BACKTRACK)
 
 
-def _line_search(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, dphi):
+def _line_search(ws: _Workspace, z, P, rows, widths, nu, phi0, dphi):
     """Armijo backtracking on the l1 merit for several members at once.
-    Member rows[i] tries the steps ladders[i] in order and takes the
-    first that passes. Trials are evaluated in rounds: in one stacked
+    Member rows[i] tries the steps _STEPS in order and takes the first
+    that passes. Trials are evaluated in rounds: in one stacked
     call, each member still searching evaluates its next widths[i]
     steps, and its width doubles for the next round. It thus accepts
     the same step as one-at-a-time backtracking, in one round when its
     first window covers that step and in about log2 as many rounds when
     not. Returns, per member, None when no step passed, else (alpha,
-    trial point, index of alpha in the ladder)."""
+    trial point, index of alpha in _STEPS)."""
     out = [None] * len(rows)
     start, width = [0] * len(rows), list(widths)
-    pending = [i for i in range(len(rows)) if ladders[i]]
+    pending = list(range(len(rows)))
     while pending:
-        trials = [ladders[i][start[i]:start[i] + width[i]] for i in pending]
+        trials = [_STEPS[start[i]:start[i] + width[i]] for i in pending]
         take = [rows[i] for i, steps in zip(pending, trials) for _ in steps]
         alphas = [a for steps in trials for a in steps]
         Zt = z.take(take, axis=0) + np.array(alphas)[:, None] * P.take(take, axis=0)
@@ -273,7 +268,7 @@ def _line_search(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, dphi):
             else:
                 start[i] += width[i]
                 width[i] *= 2
-                if start[i] < len(ladders[i]):
+                if start[i] < len(_STEPS):
                     still.append(i)
             base += len(steps)
         pending = still
@@ -282,10 +277,13 @@ def _line_search(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, dphi):
 
 def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.ndarray, list[int]]:
     """Local solves of the relaxed problem, one from each matrix of the
-    (k, n, n) stack D0, advanced in lockstep. A member leaves the stack
-    when its own solve stops, and follows the same path as it would in
-    a stack of one. Returns the (k, n, n) final iterates and the number
-    of SQP iterations each member consumed."""
+    (k, n, n) stack D0, advanced in lockstep. A member stops with its
+    iterate when its QP has no usable active set even at H = I, when no
+    trial step passes, or when it is feasible and its QP step is shorter
+    than _GRAD_TOL; and with the accepted point after a step shorter
+    than 1e-14. It then leaves the stack, and follows the same path as
+    it would in a stack of one. Returns the (k, n, n) final iterates and
+    the number of SQP iterations each member consumed."""
     n = ws.n
     nv = n * n
     Z = np.array(D0, dtype=float).reshape(-1, nv)
@@ -299,7 +297,7 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
     f, c = [F[i] for i in idx], [C[i] for i in idx]
     H = np.tile(np.eye(nv), (len(idx), 1, 1))
     nu = [1.0] * len(idx)
-    # the ladder index of each member's last accepted step
+    # the index in _STEPS of each member's last accepted step
     last = [0] * len(idx)
     for it in range(controls.max_inner_steps):
         if not idx:
@@ -311,38 +309,25 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             P[reset], retry = _qp_solve(H[reset], J[reset], [c[r] for r in reset])
             for r, l in zip(reset, retry):
                 lams[r] = l
-        restoring = [l is None for l in lams]
         viol0 = [max(c0, 0.0) + max(c1, 0.0) for c0, c1 in c]
-        stopped = set()
-        for r in (r for r in reset if restoring[r]):
-            if viol0[r] <= 0.0:
-                stopped.add(r)
-                continue
-            p = -(max(c[r][0], 0.0) * J[r, 1] + max(c[r][1], 0.0) * J[r, 2])
-            norm = math.sqrt(float(p @ p))
-            if norm < 1e-300:
-                stopped.add(r)
-                continue
-            P[r] = p / norm
-            lams[r] = (0.0, 0.0)
         gp = (J[:, 0] * P).sum(axis=1).tolist()
         pn = np.sqrt((P * P).sum(axis=1)).tolist()
-        rows, ladders, widths, nus, phi0, dphi = [], [], [], [], [], []
-        for r in range(len(idx)):
-            if r in stopped:
+        rows, widths, nus, phi0, dphi = [], [], [], [], []
+        for r, l in enumerate(lams):
+            if l is None:
                 continue
-            nu[r] = max(nu[r], 2.0 * max(abs(lams[r][0]), abs(lams[r][1])) + 1.0)
+            nu[r] = max(nu[r], 2.0 * max(abs(l[0]), abs(l[1])) + 1.0)
             if pn[r] < _GRAD_TOL and viol0[r] <= 0.0:
                 continue
             rows.append(r)
-            ladders.append(_RESTORE_STEPS if restoring[r] else _FULL_STEPS)
-            # a QP step's first round reaches one step past the last accepted one
-            widths.append(1 if restoring[r] else last[r] + 2)
+            # the first round reaches one step past the last accepted one
+            widths.append(last[r] + 2)
             nus.append(nu[r])
             phi0.append(f[r] + nu[r] * viol0[r])
             dphi.append(min(gp[r] - nu[r] * viol0[r], -1e-16))
-        hits = dict(zip(rows, _line_search(ws, z, P, rows, ladders, widths, nus, phi0, dphi)))
-        # a member stops with its iterate when no step passed, and after a negligible step
+        hits = dict(zip(rows, _line_search(ws, z, P, rows, widths, nus, phi0, dphi)))
+        # a member stops with its iterate when it has no QP step or no
+        # step passed, and with the accepted point after a negligible step
         keep = [r for r in rows if hits[r] is not None and hits[r][0] * pn[r] >= 1e-14]
         if len(keep) < len(idx):
             for r in set(range(len(idx))).difference(keep):
@@ -351,15 +336,14 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             if not keep:
                 idx = []
                 break
-            idx, nu, lams, restoring = ([v[r] for r in keep] for v in (idx, nu, lams, restoring))
+            idx, nu, lams = ([v[r] for r in keep] for v in (idx, nu, lams))
             z, J, H = z[keep], J[keep], H[keep]
         alpha = [hits[r][0] for r in keep]
         last = [hits[r][2] for r in keep]
         zn = np.array([hits[r][1] for r in keep])
         fn, cn, Jn = ws.evaluate(zn)
         # Damped BFGS on the Lagrangian gradient, applied to H = B^-1.
-        # B s comes from the QP's stationarity, B p = -(g + A^T lams);
-        # a restoration step was taken with H = B = I.
+        # B s comes from the QP's stationarity, B p = -(g + A^T lams).
         L = np.array([[(1.0, *l)] for l in lams])
         gl_old = L @ J
         s_vec = (zn - z)[:, None, :]
@@ -368,11 +352,10 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
         sg, sy = (s_vec * np.concatenate((gl_old, y_vec), axis=1)).sum(axis=2).T.tolist()
         upd = []
         for r, a in enumerate(alpha):
-            sBs = float(s_vec[r, 0] @ s_vec[r, 0]) if restoring[r] else -a * sg[r]
+            sBs = -a * sg[r]
             if sy[r] < 0.2 * sBs:
                 theta = 0.8 * sBs / max(sBs - sy[r], 1e-300)
-                Bs = s_vec[r, 0] if restoring[r] else -a * gl_old[r, 0]
-                y_vec[r, 0] = theta * y_vec[r, 0] + (1.0 - theta) * Bs
+                y_vec[r, 0] = theta * y_vec[r, 0] + (1.0 - theta) * (-a * gl_old[r, 0])
                 sy[r] = float(s_vec[r, 0] @ y_vec[r, 0])
             if sy[r] > 1e-300:
                 upd.append(r)
@@ -458,9 +441,10 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     why = "" if np.isfinite(ds.X).all() else "the data hold a NaN or infinite value"
     if not why:
         X = center(ds).X
-        G = X @ X.T
-        Sigma = G / m
-        eps = resolve_epsilons(hp, X, Sigma)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on eps below
+            G = X @ X.T
+            Sigma = G / m
+            eps = resolve_epsilons(hp, X, Sigma)
         if not np.isfinite(eps).all():
             why = "the data's second moments overflow"
         del X  # from here on the data enter only through G and Sigma

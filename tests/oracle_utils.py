@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from slcd import Hyperparams, ScmSpec, SolverControls, resolve_epsilons
 from slcd.objective import _check_dims, _Workspace, objective
 from slcd.scm_core import _matrix_entries
-from slcd.solver import _ARMIJO_C, REFERENCE_WEIGHT, _sqp
+from slcd.solver import _ARMIJO_C, _STEPS, REFERENCE_WEIGHT, _sqp
 
 
 def brute_force_best(X_raw: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -120,17 +120,18 @@ def row_threshold_loop(D, tau: int) -> np.ndarray:
     return out
 
 
-def line_search_doubling(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, dphi):
+def line_search_doubling(ws: _Workspace, z, P, rows, widths, nu, phi0, dphi):
     """The reference for solver._line_search: every member still
-    searching evaluates its next 1, then 2, then 4, ... steps in one
-    stacked call, whatever its width in widths, and takes the first
-    step that passes the Armijo test on the l1 merit. Returns, per
-    member, None or (alpha, trial point, index of alpha in its ladder)."""
+    searching evaluates its next 1, then 2, then 4, ... steps of
+    solver._STEPS in one stacked call, whatever its width in widths, and
+    takes the first step that passes the Armijo test on the l1 merit.
+    Returns, per member, None or (alpha, trial point, index of alpha in
+    solver._STEPS)."""
     out = [None] * len(rows)
-    pending = [i for i in range(len(rows)) if ladders[i]]
+    pending = list(range(len(rows)))
     start, width = 0, 1
     while pending:
-        trials = [ladders[i][start:start + width] for i in pending]
+        trials = [_STEPS[start:start + width] for _ in pending]
         take = [rows[i] for i, steps in zip(pending, trials) for _ in steps]
         alphas = [a for steps in trials for a in steps]
         Zt = z.take(take, axis=0) + np.array(alphas)[:, None] * P.take(take, axis=0)
@@ -144,7 +145,7 @@ def line_search_doubling(ws: _Workspace, z, P, rows, ladders, widths, nu, phi0, 
                     out[i] = (alphas[t], Zt[t], start + t - base)
                     break
             else:
-                if start + width < len(ladders[i]):
+                if start + width < len(_STEPS):
                     still.append(i)
             base += len(steps)
         pending = still

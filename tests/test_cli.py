@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slcd import StructuralMatrix, builtin_spec, load_dataset, sample
-from slcd import cli
+from slcd import SolverAbort, StructuralMatrix, builtin_spec, load_dataset, sample
+from slcd import cli, evaluation
 from slcd.cli import main
 from slcd.evaluation import DEFAULT_SIGMA_GRID
 
@@ -68,7 +68,8 @@ def test_parser_surface_is_pinned() -> None:
         "discover": _SOLVE | {"--data", "--out"},
         "evaluate": {"-h", "--help", "--config", "--result", "--data", "--dataset", "--spec",
                      "--out", "--theta"},
-        "sweep": _SOLVE | {"--dataset", "--sigma-grid", "--lambda-grid", "--m", "--out"},
+        "sweep": _SOLVE - {"--sigma", "--lambda"} | {"--dataset", "--sigma-grid",
+                                                     "--lambda-grid", "--m", "--out"},
         "repro": _SOLVE | {"which", "--out-dir", "--datasets", "--m", "--sigma-grid",
                            "--lambda-grid"},
     }
@@ -567,10 +568,14 @@ def test_config_unknown_key_rejected(ds2_csv, tmp_path, capsys) -> None:
 @pytest.mark.parametrize("flags, config, message", [
     (("--jobs", "2"), {}, "unrecognized arguments: --jobs 2"),
     ((), {"jobs": 2}, "unknown config keys: jobs"),
-], ids=["flag", "config"])
+    (("--sigma", "7"), {}, "unrecognized arguments: --sigma 7"),
+    (("--lambda", "7"), {}, "unrecognized arguments: --lambda 7"),
+], ids=["flag", "config", "sigma-flag", "lambda-flag"])
 def test_retired_jobs_is_usage_error(tmp_path, capsys, flags, config, message) -> None:
     """The sweep picks its processes itself: its former jobs setting is an
-    unknown flag and an unknown config key, and nothing is written."""
+    unknown flag and an unknown config key. Each cell takes sigma and
+    lambda from the grids: --sigma and --lambda are unknown flags too,
+    not abbreviations of the grid flags. Nothing is written."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "grid.csv"
@@ -765,6 +770,27 @@ def test_sweep_writes_csv(tmp_path, capsys) -> None:
     assert lines[0].startswith("dataset,sigma,lambda,")
     assert len(lines) == 3
     assert "2 cells" in capsys.readouterr().out
+
+
+def test_sweep_every_cell_aborted_is_numeric_abort(tmp_path, monkeypatch, usable_cpus,
+                                                  capsys) -> None:
+    """A sweep whose every cell aborts still writes its CSV, one row of
+    NaN metrics per cell, and exits 4."""
+    def aborting(data, hp, controls):
+        raise SolverAbort("every restart aborted without a finite candidate", [])
+
+    usable_cpus(1)
+    monkeypatch.setattr(evaluation, "slcd", aborting)
+    out = tmp_path / "grid.csv"
+    assert run("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "1,5",
+               "--m", "30", "--out", str(out)) == 4
+    captured = capsys.readouterr()
+    assert "2 cells, 0 solved" in captured.out
+    assert captured.err == "every cell aborted\n"
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["sigma"], row["lambda"]) for row in rows] == [("0.3", "1"), ("0.3", "5")]
+    assert all(row["precision"] == "nan" for row in rows)
 
 
 def test_sweep_requires_dataset(capsys) -> None:

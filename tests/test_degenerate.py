@@ -1,10 +1,10 @@
 """Degenerate data: the estimator returns a result or raises SolverAbort,
 and `slcd discover` exits 0, 3 or 4, on data with a constant row, a
 duplicated variable, fewer samples than variables, two samples, values
-scaled by 1e6 or 1e-6, and all zeros. Each case is run with one usable
-CPU, where slcd() solves in the calling process, and with two, where it
-solves its 3 restarts on a pool of two (blocks of 2 and 1, the block
-minimum lowered to 1): both end the same way."""
+scaled by 1e6, 1e-6 or 1e160, and all zeros. Each case is run with one
+usable CPU, where slcd() solves in the calling process, and with two,
+where it solves its 3 restarts on a pool of two (blocks of 2 and 1, the
+block minimum lowered to 1): both end the same way."""
 from __future__ import annotations
 
 import contextlib
@@ -28,6 +28,8 @@ DEGENERATE = {
     "m-two": _BASE[:, :2],
     "times-1e6": _BASE * 1e6,
     "times-1e-6": _BASE * 1e-6,
+    # the second moments overflow: slcd() aborts before any solve
+    "times-1e160": _BASE * 1e160,
     "all-zero": np.zeros((4, 200)),
 }
 
@@ -80,6 +82,15 @@ def test_slcd_returns_or_aborts_on_degenerate_data(X) -> None:
         return
     assert result.D_opt.shape == (X.shape[0],) * 2
     assert np.isfinite(result.D_opt).all() and result.J_min < np.inf
+
+
+def test_overflowing_second_moments_abort_before_the_solve() -> None:
+    """Data whose Gram matrix overflows abort under their own message,
+    with no RuntimeWarning (which this suite raises) and no SQP
+    iteration."""
+    with pytest.raises(SolverAbort, match="the data's second moments overflow") as info:
+        slcd(DEGENERATE["times-1e160"], Hyperparams(restarts=3))
+    assert [r.iterations for r in info.value.records] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("action, raised", [("error", RuntimeWarning), ("ignore", SolverAbort)])

@@ -33,7 +33,7 @@ from slcd import (
 )
 from slcd import _csvio, _fork, solver
 from slcd.objective import _residuals, _smoothed_rank, _smoothed_trace, _Workspace, objective
-from slcd.solver import REFERENCE_WEIGHT, _ladder, _line_search, _qp_solve, _sqp
+from slcd.solver import REFERENCE_WEIGHT, _STEPS, _line_search, _qp_solve, _sqp
 from conftest import PAIR_SUM_ALIAS, without_wall
 from oracle_utils import line_search_doubling, objective_of, row_threshold_loop, solve_relaxed
 
@@ -55,11 +55,6 @@ def test_controls_validation() -> None:
     for bad in (dict(seed=1.5), dict(max_inner_steps=10.0)):
         with pytest.raises(ValueError):
             SolverControls(**bad)
-
-
-def test_controls_json_round_trip() -> None:
-    c = SolverControls(seed=9, max_inner_steps=50)
-    assert SolverControls.from_json(c.to_json()) == c
 
 
 # ----------------------------------------------------------- row_threshold
@@ -493,11 +488,10 @@ def test_line_search_windows_match_sequential_halving(members) -> None:
     rows = list(range(k))[::-1]
     z = np.column_stack((np.zeros(k), thresholds[::-1]))
     P = np.tile([1.0, 0.0], (k, 1))
-    steps = _ladder(1.0, 0.5)
+    steps = _STEPS
     phi0, dphi = 1e-3, -1.0
     ws = _ThresholdWorkspace()
-    found = _line_search(ws, z, P, rows, [steps] * k, widths, [1.0] * k,
-                         [phi0] * k, [dphi] * k)
+    found = _line_search(ws, z, P, rows, widths, [1.0] * k, [phi0] * k, [dphi] * k)
     lasts = []
     for thr, hit in zip(thresholds, found):
         alpha = _sequential_halving(thr, phi0, dphi)
@@ -515,10 +509,10 @@ def test_line_search_windows_match_sequential_halving(members) -> None:
 
 
 def test_line_search_full_ladder_at_width_one_takes_six_calls() -> None:
-    steps = _ladder(1.0, 0.5)
+    steps = _STEPS
     ws = _ThresholdWorkspace()
-    found = _line_search(ws, np.array([[0.0, -1.0]]), np.array([[1.0, 0.0]]), [0], [steps],
-                         [1], [1.0], [1e-3], [-1.0])
+    found = _line_search(ws, np.array([[0.0, -1.0]]), np.array([[1.0, 0.0]]), [0], [1], [1.0],
+                         [1e-3], [-1.0])
     # 54 trial steps in rounds of 1, 2, 4, ..., 32 instead of 54 calls
     assert found == [None] and len(steps) == 54 and ws.calls == 6
 
@@ -538,6 +532,21 @@ def test_sqp_stack_members_independent() -> None:
     Dp, itp = _sqp(ws, starts[perm], ctl)
     assert itp == [its[i] for i in perm]
     assert Dp.tobytes() == D[perm].tobytes()
+
+
+def test_sqp_stops_where_no_qp_step_exists_at_identity() -> None:
+    """At lam = 1e300 the trace term's gradient overflows g.H.g even at
+    H = I, so no QP step exists: every member stops after one iteration
+    and returns its start bit for bit."""
+    _, ds, Sigma, sd, hp = _problem(2)
+    ws = _Workspace(ds.X @ ds.X.T, Sigma, sd, replace(hp, lam=1e300))
+    starts = np.random.default_rng(7).uniform(-1, 1, (4, 4, 4))
+    with np.errstate(all="ignore"):
+        _, c, J = ws.evaluate(starts.reshape(4, -1))
+        assert _qp_solve(np.tile(np.eye(16), (4, 1, 1)), J, c.tolist())[1] == [None] * 4
+        D, its = _sqp(ws, starts, SolverControls())
+    assert its == [1] * 4
+    assert D.tobytes() == starts.tobytes()
 
 
 def test_sqp_matches_doubling_search_from_width_one(monkeypatch) -> None:
