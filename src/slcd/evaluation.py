@@ -167,8 +167,6 @@ class SweepResult:
     sigma_grid: tuple[float, ...]
     lambda_grid: tuple[float, ...]
     cells: list[SweepCell] = field(default_factory=list)
-    hp: Hyperparams = Hyperparams()
-    controls: SolverControls = SolverControls()
 
     def to_csv(self, path: str) -> str:
         """Tidy CSV, one row per cell."""
@@ -271,6 +269,4 @@ def sweep(dataset_id: int,
         sigma_grid=sigma_grid,
         lambda_grid=lambda_grid,
         cells=cells,
-        hp=hp,
-        controls=controls,
     )

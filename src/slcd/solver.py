@@ -441,11 +441,12 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     why = "" if np.isfinite(ds.X).all() else "the data hold a NaN or infinite value"
     if not why:
         X = center(ds).X
-        with np.errstate(over="ignore", invalid="ignore"):  # checked on eps below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on G and eps below
             G = X @ X.T
             Sigma = G / m
             eps = resolve_epsilons(hp, X, Sigma)
-        if not np.isfinite(eps).all():
+        # explicit slacks pass through resolve_epsilons whatever G holds
+        if not (np.isfinite(G).all() and np.isfinite(eps).all()):
             why = "the data's second moments overflow"
         del X  # from here on the data enter only through G and Sigma
     if why:

@@ -107,6 +107,23 @@ def test_generate_from_spec_file(tmp_path) -> None:
     assert load_dataset(str(out)).X.shape == (3, 20)
 
 
+def test_generate_and_evaluate_take_a_large_coefficient(tmp_path, capsys) -> None:
+    """x3 = 1e9 x1 is a valid model, however far its largest coefficient
+    is from the unit rows: generate and evaluate both exit 0."""
+    spec = builtin_spec(1).to_json()
+    spec["variables"][1] = spec["variables"][0]
+    spec["variables"][2]["terms"] = [[0, 1e9]]
+    spec_path, data = tmp_path / "model.json", tmp_path / "d.csv"
+    spec_path.write_text(json.dumps(spec))
+    assert run("generate", "--spec", str(spec_path), "--m", "20", "--out", str(data)) == 0
+    assert json.loads((tmp_path / "d.json").read_text())["true_links"] == 1
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [1e9, 0, 0]]}))
+    assert run("evaluate", "--result", str(truth), "--data", str(data),
+               "--spec", str(spec_path)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 MISTYPED_SPECS = {
     "parent-fraction": ("variables", 1, "terms", [[0.7, 0.5]]),
     "parent-bool": ("variables", 1, "terms", [[False, 0.5]]),

@@ -93,6 +93,15 @@ def test_overflowing_second_moments_abort_before_the_solve() -> None:
     assert [r.iterations for r in info.value.records] == [0, 0, 0]
 
 
+def test_overflowing_second_moments_abort_with_explicit_slacks() -> None:
+    """Explicit slacks stay finite whatever the data hold; the overflowing
+    Gram matrix still aborts before the solve, with no RuntimeWarning."""
+    X = sample(builtin_spec(2), 100, 0).X * 1e160
+    with pytest.raises(SolverAbort, match="the data's second moments overflow") as info:
+        slcd(X, Hyperparams(restarts=3, iterations=1, eps1=1.0, eps2=1.0))
+    assert [r.iterations for r in info.value.records] == [0, 0, 0]
+
+
 @pytest.mark.parametrize("action, raised", [("error", RuntimeWarning), ("ignore", SolverAbort)])
 def test_overflowing_data_end_the_same_way_on_both_paths(action, raised) -> None:
     with warnings.catch_warnings():

@@ -20,7 +20,6 @@ from slcd import (
     sample_covariance,
 )
 from slcd.objective import EPS_REL, _residuals, _smoothed_rank, _smoothed_trace, objective
-from slcd.scm_core import _numerical_rank
 from oracle_utils import analytic_variances, gradient, induced_covariance
 
 
@@ -113,7 +112,7 @@ def test_smoothed_rank_identity_closed_form() -> None:
 def test_smoothed_rank_limit_is_rank() -> None:
     D = builtin_spec(2).structural_matrix().entries
     assert _smoothed_rank(D, 1e-3) == pytest.approx(2.0, abs=1e-3)
-    assert _numerical_rank(D) == 2
+    assert np.linalg.matrix_rank(D) == 2
 
 
 def test_smoothed_rank_monotone_in_sigma() -> None:

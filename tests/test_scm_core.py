@@ -20,7 +20,7 @@ from slcd import (
     sample_covariance,
     true_edges,
 )
-from slcd.scm_core import _numerical_rank, _validate_ground_truth
+from slcd.scm_core import _validate_ground_truth
 from conftest import PAIR_SUM_ALIAS
 from oracle_utils import analytic_variances, induced_covariance
 
@@ -45,6 +45,25 @@ def test_gaussian_rejects_nonpositive_variance() -> None:
         Gaussian(0.0, 0.0)
 
 
+# The constructors check values as spec files are checked: a bool, a
+# string or a non-finite number is a ValueError, never converted.
+@pytest.mark.parametrize("make", [
+    lambda: Uniform(True, 1.0),
+    lambda: Uniform(0.0, "3"),
+    lambda: Uniform(0.0, float("inf")),
+    lambda: Gaussian("0", 1.0),
+    lambda: Gaussian(0.0, float("nan")),
+], ids=["uniform-bool", "uniform-string", "uniform-inf", "gaussian-string", "gaussian-nan"])
+def test_distributions_reject_non_numbers(make) -> None:
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_distributions_store_floats() -> None:
+    assert Uniform(-1, 1).to_json() == {"kind": "uniform", "a": -1.0, "b": 1.0}
+    assert type(Gaussian(0, 2).mean) is float
+
+
 def test_variable_def_rejects_duplicate_parents() -> None:
     with pytest.raises(ValueError):
         VariableDef.dependent([(0, 1.0), (0, 2.0)])
@@ -53,6 +72,19 @@ def test_variable_def_rejects_duplicate_parents() -> None:
 def test_variable_def_rejects_zero_coefficients() -> None:
     with pytest.raises(ValueError):
         VariableDef.dependent([(0, 0.0)])
+
+
+# A parent is an integer and a coefficient a finite number, in Python as
+# in a spec file (tests/test_cli.py's MISTYPED_SPECS): neither is converted.
+@pytest.mark.parametrize("term, field", [
+    ((1.7, 0.5), "parent"), ((1.0, 0.5), "parent"), ((True, 1.0), "parent"),
+    (("0", 1.0), "parent"), ((0, "0.5"), "coefficient"), ((0, True), "coefficient"),
+    ((0, None), "coefficient"), ((0, float("nan")), "coefficient"),
+    ((0, float("inf")), "coefficient"),
+])
+def test_variable_def_rejects_mistyped_terms(term, field) -> None:
+    with pytest.raises(ValueError, match=field):
+        VariableDef.dependent([term])
 
 
 def test_variable_def_rejects_empty_terms() -> None:
@@ -118,41 +150,37 @@ def test_builtin_truth_matrices(truth_matrices) -> None:
 
 
 def test_builtin_truth_validates(truth_matrices) -> None:
-    for ds_id, D in truth_matrices.items():
-        assert _validate_ground_truth(D, tau=2) == [], f"dataset {ds_id}"
-
-
-def test_rank_equals_independent_count(truth_matrices) -> None:
+    # a valid matrix's rank is its independent-row count
     independent_counts = {1: 1, 2: 2, 3: 2, 4: 3, 5: 3}
     for ds_id, D in truth_matrices.items():
-        assert _numerical_rank(D) == independent_counts[ds_id]
+        assert _validate_ground_truth(D) == [], f"dataset {ds_id}"
+        assert np.linalg.matrix_rank(D) == independent_counts[ds_id]
 
 
 # -------------------------------------------------------------- validator
 
 def test_validator_accepts_identity() -> None:
-    assert _validate_ground_truth(np.eye(3), tau=1) == []
+    assert _validate_ground_truth(np.eye(3)) == []
 
 
 def test_validator_reports_row_and_rule() -> None:
-    # dependent row 1 has 3 nonzeros with tau=2
+    # row 1 has a diagonal of 0.25: neither dependent nor independent
     D = np.array([[1.0, 0, 0], [0.5, 0.25, 0.125], [0, 0, 1.0]])
-    violations = _validate_ground_truth(D, tau=2)
-    assert violations, "over-dense row must be flagged"
+    violations = _validate_ground_truth(D)
+    assert violations, "a nonzero diagonal off a unit row must be flagged"
     assert any("row 1" in v for v in violations)
 
 
 def test_validator_flags_diagonal_not_one() -> None:
     D = np.array([[2.0, 0.0], [1.0, 0.0]])
-    assert _validate_ground_truth(D, tau=2) != []
+    assert _validate_ground_truth(D) != []
 
 
 def test_validator_flags_rank_mismatch() -> None:
-    # no row is independent-shaped, yet the matrix has rank 1: both the
-    # parent rule and the rank rule must fire
+    # no row is independent-shaped, yet the matrix has rank 1: the parent
+    # rule fires
     D = np.array([[0.0, 1.0], [0.0, 0.0]])
-    violations = _validate_ground_truth(D, tau=1)
-    assert any("rank" in v for v in violations)
+    violations = _validate_ground_truth(D)
     assert any("not an independent row" in v for v in violations)
 
 
@@ -162,7 +190,7 @@ def test_alias_matrix_validates_by_shape() -> None:
     # validator has no way to know x3 was dependent in the generating
     # model; the matrix passes. Disqualifying it is the covariance
     # constraint's job (see the solver tests).
-    assert _validate_ground_truth(PAIR_SUM_ALIAS, tau=2) == []
+    assert _validate_ground_truth(PAIR_SUM_ALIAS) == []
 
 
 # -------------------------------------------------------------- true_edges
@@ -185,6 +213,19 @@ def test_true_edges_counts(truth_matrices) -> None:
 def test_true_edges_rejects_invalid() -> None:
     with pytest.raises(ValueError):
         true_edges(np.array([[2.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_true_edges_rejects_non_finite(bad) -> None:
+    for D in ([[1.0, 0.0], [bad, 0.0]], [[bad, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            true_edges(np.array(D))
+
+
+def test_true_edges_takes_any_coefficient_size() -> None:
+    # the shape fixes the rank, however far apart the coefficients are
+    for c in (1e-12, 1e9, 1e300):
+        assert true_edges(np.array([[1.0, 0, 0], [0, 1.0, 0], [c, 0, 0]])).pairs == {(0, 2)}
 
 
 def test_true_edges_matches_spec_dependencies() -> None:
