@@ -310,14 +310,17 @@ def cmd_evaluate(args) -> int:
     spec = _resolve_spec(args)
     D_hat = _load_estimate(args.result)
     ds = _read_dataset(args.data)
-    if not np.isfinite(ds.X).all():
-        # the metrics would be NaN, which JSON cannot hold
-        raise _CliError(EXIT_NUMERIC, f"{args.data} holds NaN or inf values")
     D_true = spec.structural_matrix()
     try:
-        bundle = metric_bundle(D_hat, ds, D_true, args.theta)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the bundle below
+            bundle = metric_bundle(D_hat, ds, D_true, args.theta)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"estimate does not match the model: {exc}") from exc
+    errors = (bundle.reconstruction_error, bundle.structure_error, bundle.covariance_error)
+    if not np.isfinite(errors).all():
+        # JSON cannot hold a NaN or inf metric
+        raise _CliError(EXIT_NUMERIC, f"a metric is not finite: {args.data} holds NaN or inf "
+                                      "values, or an error term overflows")
     rows = [
         ("reconstruction_error", f"{bundle.reconstruction_error:.6g}"),
         ("structure_error", f"{bundle.structure_error:.6g}"),

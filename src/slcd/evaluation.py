@@ -4,6 +4,11 @@ Five quantities summarize an estimate: the reconstruction error
 (mean squared residual per matrix entry of X - D X), the structure and
 covariance errors (Frobenius norms scaled by 1/n^2, unsquared), and
 precision/recall of the extracted edge set against the true links.
+
+The two residuals are those of objective.py, and the link rule is
+scm_core's, so this module holds no model math of its own. The
+reconstruction error uses the data as given; the covariance, like the
+solver's Gram matrix, comes from the centred data.
 """
 from __future__ import annotations
 
@@ -15,8 +20,8 @@ import numpy as np
 
 from . import _fork
 from .datagen import _as_dataset, builtin_spec, sample, sample_covariance
-from .objective import Hyperparams
-from .scm_core import EdgeSet, _matrix_entries, true_edges
+from .objective import Hyperparams, _covariance_residual, _reconstruction_residual
+from .scm_core import EdgeSet, _links, _matrix_entries, true_edges
 from .solver import DiscoveryResult, SolverAbort, SolverControls, slcd
 
 __all__ = [
@@ -62,16 +67,7 @@ class MetricBundle:
 
 def reconstruction_error(D_hat, X) -> float:
     """(1 / (n m)) ||X - D_hat X||_F^2."""
-    D = _matrix_entries(D_hat)
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != D.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows, D is {D.shape[0]}x{D.shape[0]}")
-    # one n-by-m temporary, reused for the residual and its square
-    E = D @ X
-    np.subtract(X, E, out=E)
-    np.multiply(E, E, out=E)
-    n, m = X.shape
-    return float(np.sum(E)) / (n * m)
+    return _reconstruction_residual(D_hat, X) / np.size(X)
 
 
 def structure_error(D_hat, D_true) -> float:
@@ -86,14 +82,8 @@ def structure_error(D_hat, D_true) -> float:
 
 def covariance_error(D_hat, Sigma, sigma_diag) -> float:
     """(1 / n^2) ||Sigma - D_hat diag(sigma_diag) D_hat^T||_F, unsquared."""
-    D = _matrix_entries(D_hat)
-    Sigma = np.asarray(Sigma, dtype=float)
-    sd = np.asarray(sigma_diag, dtype=float)
-    n = D.shape[0]
-    if Sigma.shape != (n, n) or sd.shape != (n,):
-        raise ValueError("covariance dimensions do not match the matrix")
-    R = Sigma - (D * sd) @ D.T
-    return float(np.linalg.norm(R)) / (n * n)
+    R = _covariance_residual(D_hat, Sigma, sigma_diag)
+    return float(np.linalg.norm(R)) / R.size
 
 
 def extract_edges(D_hat, theta: float = DEFAULT_THETA) -> EdgeSet:
@@ -101,14 +91,7 @@ def extract_edges(D_hat, theta: float = DEFAULT_THETA) -> EdgeSet:
     magnitude above theta."""
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    D = _matrix_entries(D_hat)
-    n = D.shape[0]
-    return EdgeSet(
-        (j, i)
-        for i in range(n)
-        for j in range(n)
-        if i != j and abs(D[i, j]) > theta
-    )
+    return _links(np.abs(_matrix_entries(D_hat)) > theta)
 
 
 def precision_recall(est: EdgeSet, truth: EdgeSet) -> tuple[float, float, int]:
@@ -206,18 +189,13 @@ def _run_cell(state, hp_cell, controls_cell):
     t0 = time.perf_counter()
     try:
         result: DiscoveryResult = slcd(X_data, hp_cell, controls_cell)
-        bundle = metric_bundle(result.D_opt, X_data, D_true, theta)
-        wall = (time.perf_counter() - t0) * 1000.0
-        return SweepCell(
-            sigma=hp_cell.sigma, lam=hp_cell.lam, metrics=bundle,
-            j_min=result.J_min, wall_ms=wall,
-        )
     except SolverAbort as exc:
-        wall = (time.perf_counter() - t0) * 1000.0
-        return SweepCell(
-            sigma=hp_cell.sigma, lam=hp_cell.lam, metrics=None,
-            j_min=math.inf, wall_ms=wall, error=str(exc),
-        )
+        bundle, j_min, error = None, math.inf, str(exc)
+    else:
+        bundle = metric_bundle(result.D_opt, X_data, D_true, theta)
+        j_min, error = result.J_min, ""
+    return SweepCell(sigma=hp_cell.sigma, lam=hp_cell.lam, metrics=bundle, j_min=j_min,
+                     wall_ms=(time.perf_counter() - t0) * 1000.0, error=error)
 
 
 def sweep(dataset_id: int,

@@ -144,34 +144,39 @@ def _smoothed_trace(D, sigma: float) -> float:
     return _surrogate(np.diag(_matrix_entries(D)), sigma)
 
 
-def _check_dims(D, X, Sigma, sigma_diag):
+def _reconstruction_residual(D, X) -> float:
+    """||X - DX||_F^2."""
+    D = _matrix_entries(D)
+    X = np.asarray(X, dtype=float)
     n = D.shape[0]
-    if D.shape != (n, n):
-        raise ValueError(f"D must be square, got {D.shape}")
-    if X.shape[0] != n:
-        raise ValueError(f"X has {X.shape[0]} rows, D is {n}x{n}")
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"X has shape {X.shape}, D is {n}x{n}")
+    # one n-by-m temporary, reused for the residual and its square
+    E = D @ X
+    np.subtract(X, E, out=E)
+    np.multiply(E, E, out=E)
+    return float(np.sum(E))
+
+
+def _covariance_residual(D, Sigma, sigma_diag) -> np.ndarray:
+    """The matrix Sigma - D diag(sigma_diag) D^T."""
+    D = _matrix_entries(D)
+    Sigma = np.asarray(Sigma, dtype=float)
+    sd = np.asarray(sigma_diag, dtype=float)
+    n = D.shape[0]
     if Sigma.shape != (n, n):
         raise ValueError(f"Sigma shape {Sigma.shape} does not match n={n}")
-    if sigma_diag.shape != (n,):
-        raise ValueError(f"sigma_diag shape {sigma_diag.shape} does not match n={n}")
+    if sd.shape != (n,):
+        raise ValueError(f"sigma_diag shape {sd.shape} does not match n={n}")
+    return Sigma - (D * sd) @ D.T
 
 
 def _residuals(D, X, Sigma, sigma_diag) -> tuple[float, float]:
     """Squared constraint residuals (||X - DX||_F^2,
     ||Sigma - D diag(sigma_diag) D^T||_F^2)."""
-    D = _matrix_entries(D)
-    X = np.asarray(X, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    sd = np.asarray(sigma_diag, dtype=float)
-    _check_dims(D, X, Sigma, sd)
-    # one n-by-m temporary, reused for the residual and its square
-    E = D @ X
-    np.subtract(X, E, out=E)
-    np.multiply(E, E, out=E)
-    recon = float(np.sum(E))
-    R = Sigma - (D * sd) @ D.T
-    cov = float(np.sum(R * R))
-    return recon, cov
+    recon = _reconstruction_residual(D, X)
+    R = _covariance_residual(D, Sigma, sigma_diag)
+    return recon, float(np.sum(R * R))
 
 
 def objective(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) -> ObjectiveBreakdown:

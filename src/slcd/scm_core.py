@@ -290,6 +290,14 @@ def _matrix_entries(D) -> np.ndarray:
     return a
 
 
+def _links(mask: np.ndarray) -> EdgeSet:
+    """Links (parent j, child i) for the off-diagonal True entries (i, j)
+    of a square boolean mask."""
+    child, parent = np.nonzero(mask)
+    off = child != parent
+    return EdgeSet(zip(parent[off].tolist(), child[off].tolist()))
+
+
 def _validate_ground_truth(D) -> list[str]:
     """Check that D has the shape of a ground-truth structural matrix.
 
@@ -326,7 +334,4 @@ def true_edges(D) -> EdgeSet:
     problems = _validate_ground_truth(a)
     if problems:
         raise ValueError("not a valid ground-truth matrix: " + "; ".join(problems))
-    n = a.shape[0]
-    return EdgeSet(
-        (j, i) for i in range(n) for j in range(n) if i != j and a[i, j] != 0.0
-    )
+    return _links(a != 0.0)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from slcd import Hyperparams, ScmSpec, SolverControls, resolve_epsilons
-from slcd.objective import _check_dims, _Workspace, objective
+from slcd.objective import _covariance_residual, _reconstruction_residual, _Workspace, objective
 from slcd.scm_core import _matrix_entries
 from slcd.solver import _ARMIJO_C, _STEPS, REFERENCE_WEIGHT, _sqp
 
@@ -164,9 +164,11 @@ def gradient(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) -
     X = np.asarray(X, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
     sd = np.asarray(sigma_diag, dtype=float)
-    _check_dims(D, X, Sigma, sd)
     if not np.all(np.isfinite(D)):
         raise ValueError("non-finite matrix entries")
+    # the helpers check the dimensions
+    recon = _reconstruction_residual(D, X)
+    R = _covariance_residual(D, Sigma, sd)
     n = D.shape[0]
     sig2 = hp.sigma * hp.sigma
     eps1, eps2 = resolve_epsilons(hp, X, Sigma)
@@ -177,13 +179,10 @@ def gradient(D, X, Sigma, sigma_diag, hp: Hyperparams, mu1: float, mu2: float) -
     d = np.diag(D)
     g[np.arange(n), np.arange(n)] += hp.lam * (2.0 * d / sig2) * np.exp(-(d * d) / sig2)
 
-    E = X - D @ X
-    recon = float(np.sum(E * E))
     h1 = float(np.maximum(0.0, recon - eps1))
     if h1 > 0.0 and mu1 > 0.0:
-        g += mu1 * (-4.0 * h1) * (E @ X.T)
+        g += mu1 * (-4.0 * h1) * ((X - D @ X) @ X.T)
 
-    R = Sigma - (D * sd) @ D.T
     cov = float(np.sum(R * R))
     h2 = float(np.maximum(0.0, cov - eps2))
     if h2 > 0.0 and mu2 > 0.0:

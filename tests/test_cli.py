@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slcd import SolverAbort, StructuralMatrix, builtin_spec, load_dataset, sample
+from slcd import (Dataset, SolverAbort, StructuralMatrix, builtin_spec, load_dataset, sample,
+                  save_dataset)
 from slcd import cli, evaluation
 from slcd.cli import main
 from slcd.evaluation import DEFAULT_SIGMA_GRID
@@ -24,6 +25,14 @@ from slcd.evaluation import DEFAULT_SIGMA_GRID
 
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+def strict_json(path: Path):
+    """The JSON object in path; NaN, Infinity and -Infinity, which
+    Python's json module writes and reads but JSON does not allow, fail."""
+    def reject(name: str):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def strip_walls(obj):
@@ -692,7 +701,7 @@ def test_evaluate_perfect_estimate(ds2_csv, tmp_path, capsys) -> None:
                "--dataset", "2", "--out", str(metrics_out)) == 0
     text = capsys.readouterr().out
     assert "precision" in text and "correct_links" in text
-    metrics = json.loads(metrics_out.read_text())
+    metrics = strict_json(metrics_out)
     assert metrics["precision"] == 1.0
     assert metrics["recall"] == 1.0
     assert metrics["correct_links"] == 3
@@ -755,22 +764,35 @@ def test_evaluate_missing_result_is_io_error(ds2_csv, tmp_path) -> None:
                "--data", ds2_csv, "--dataset", "2") == 3
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf"])
-def test_evaluate_non_finite_data_is_numeric_abort(ds2_csv, tmp_path, capsys, cell) -> None:
-    # NaN metrics would make the metrics file invalid JSON, so nothing is written
-    lines = Path(ds2_csv).read_text().splitlines()
-    row = lines[5].split(",")
-    row[1] = cell
-    lines[5] = ",".join(row)
+@pytest.mark.parametrize("case", ["nan", "inf", "overflowing-data", "huge-estimate"])
+def test_evaluate_non_finite_data_is_numeric_abort(ds2_csv, tmp_path, capsys, case) -> None:
+    """Data holding NaN or inf, data whose second moments overflow, and an
+    estimate whose products with the data overflow all give metrics that
+    JSON cannot hold: exit 4 with no metrics file and no RuntimeWarning."""
     data = tmp_path / "bad.csv"
-    data.write_text("\n".join(lines) + "\n")
+    D_hat = builtin_spec(2).structural_matrix().entries.copy()
+    if case == "overflowing-data":
+        save_dataset(Dataset(load_dataset(ds2_csv).X * 1e160, "huge", 0), str(data))
+    elif case == "huge-estimate":
+        data = Path(ds2_csv)
+        D_hat[2, 0] = 1e200
+    else:
+        lines = Path(ds2_csv).read_text().splitlines()
+        row = lines[5].split(",")
+        row[1] = case
+        lines[5] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
     result = tmp_path / "result.json"
-    result.write_text(json.dumps(builtin_spec(2).structural_matrix().to_json()))
+    result.write_text(json.dumps(StructuralMatrix(D_hat).to_json()))
     out = tmp_path / "metrics.json"
-    assert run("evaluate", "--result", str(result), "--data", str(data), "--dataset", "2",
-               "--out", str(out)) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("evaluate", "--result", str(result), "--data", str(data), "--dataset", "2",
+                   "--out", str(out))
+    assert code == 4
     assert "holds NaN or inf values" in capsys.readouterr().err
     assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ------------------------------------------------------------------- sweep

@@ -142,7 +142,9 @@ def test_extract_edges_rejects_nonpositive_theta(monkeypatch) -> None:
 def test_extract_edges_orientation() -> None:
     D = np.zeros((3, 3))
     D[2, 0] = 0.9  # row 2 reads from column 0: link x1 -> x3
-    assert extract_edges(D).pairs == {(0, 2)}
+    D[0, 1] = DEFAULT_THETA  # the rule is strictly above theta
+    D[1, 2] = np.nan  # a NaN magnitude is above no theta
+    assert extract_edges(D, DEFAULT_THETA).pairs == {(0, 2)}
 
 
 @given(square, st.floats(0.01, 2.0), st.floats(0.01, 2.0))
