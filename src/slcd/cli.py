@@ -41,7 +41,7 @@ from .reference import (
     REFERENCE_ESTIMATES,
 )
 from .scm_core import ScmSpec, StructuralMatrix, _require_finite, _require_integer, true_edges
-from .solver import SolverAbort, SolverControls, slcd
+from .solver import FORMAT_VERSION as RESULT_FORMAT_VERSION, SolverAbort, SolverControls, slcd
 
 __all__ = ["main"]
 
@@ -73,13 +73,7 @@ def _load_config(path: str | None) -> dict:
     and a "controls" object. _resolve() checks the values."""
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_USAGE, f"config file is not valid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise _CliError(EXIT_USAGE, "config file must hold a JSON object")
     unknown = sorted(set(obj) - _CONFIG_KEYS)
@@ -205,30 +199,25 @@ def _resolve_spec(args) -> ScmSpec:
             raise _CliError(EXIT_USAGE, str(exc)) from exc
     if spec_path is not None:
         try:
-            return ScmSpec.from_json_file(spec_path)
-        except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot read spec file: {exc}") from exc
+            return ScmSpec.from_json(_read_json(spec_path))
         except (ValueError, KeyError, TypeError) as exc:
             raise _CliError(EXIT_USAGE, f"invalid spec file: {exc}") from exc
     raise _CliError(EXIT_USAGE, "a model is required: --dataset ID or --spec FILE")
 
 
 def _write_json(path, obj) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _read_json(path) -> dict:
+def _read_json(path):
+    """The JSON value in path. A file that is not UTF-8 JSON is a usage
+    error; main() maps an OSError to exit 3."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise _CliError(EXIT_USAGE, f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -253,10 +242,7 @@ def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
     ds = sample(spec, args.m, args.seed)
     out = getattr(args, "out", f"{spec.name}.csv")
-    try:
-        csv_path, sidecar_path = save_dataset(ds, out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write dataset: {exc}") from exc
+    csv_path, sidecar_path = save_dataset(ds, out)
     links = len(true_edges(spec.structural_matrix()))
     sidecar = _read_json(sidecar_path)
     sidecar["true_links"] = links
@@ -276,7 +262,7 @@ def cmd_discover(args) -> int:
         result = slcd(ds, args.hp, args.controls)
     except SolverAbort as exc:
         diag = {
-            "format_version": FORMAT_VERSION,
+            "format_version": RESULT_FORMAT_VERSION,  # as the result written on success
             "error": str(exc),
             "restarts": [r.to_json() for r in exc.records],
         }
@@ -344,18 +330,14 @@ def cmd_evaluate(args) -> int:
 def _run_sweep(dataset: int, out, args) -> tuple[int, int, int]:
     """sweep() of dataset at the settings of args, written to the CSV
     file out. Returns the counts of cells, of solved cells and of cells
-    recovering every link. A grid that sweep() rejects is a usage error,
-    an unwritable out an I/O error."""
+    recovering every link. A grid that sweep() rejects is a usage error."""
     try:
         result = sweep(dataset, hp=args.hp, controls=args.controls, data_seed=args.seed,
                        theta=args.theta, m=args.m, sigma_grid=args.sigma_grid,
                        lambda_grid=args.lambda_grid)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    try:
-        result.to_csv(str(out))
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {out}: {exc}") from exc
+    result.to_csv(str(out))
     ok = [c.metrics for c in result.cells if c.metrics is not None]
     return len(result.cells), len(ok), sum(b.precision == 1.0 and b.recall == 1.0 for b in ok)
 
@@ -529,10 +511,7 @@ def _repro_sweeps(args, out_dir: Path) -> int:
 
 def cmd_repro(args) -> int:
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot create {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "estimates":
         return _repro_gated(args, out_dir, "estimates", "# Estimated structural matrices", [],
                             _estimates_section)
@@ -627,6 +606,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # its text names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -11,7 +11,6 @@ Indices are 0-based everywhere, including the JSON wire format.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -218,11 +217,6 @@ class ScmSpec:
             name=obj["name"],
             variables=tuple(VariableDef.from_json(v) for v in obj["variables"]),
         )
-
-    @classmethod
-    def from_json_file(cls, path) -> "ScmSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,6 +35,10 @@ def strict_json(path: Path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+# a UTF-16 byte-order mark and "{}": JSON in a file that is not UTF-8
+NOT_UTF8 = b"\xff\xfe{}"
+
+
 def strip_walls(obj):
     """Drop wall-clock fields so two runs can be compared exactly."""
     if isinstance(obj, dict):
@@ -612,9 +616,11 @@ def test_retired_jobs_is_usage_error(tmp_path, capsys, flags, config, message) -
 
 def test_config_invalid_json_rejected(ds2_csv, tmp_path, capsys) -> None:
     config = tmp_path / "config.json"
-    config.write_text("{not json")
-    assert run("discover", "--data", ds2_csv, "--config", str(config)) == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    for payload in (b"{not json", NOT_UTF8):
+        config.write_bytes(payload)
+        assert run("discover", "--data", ds2_csv, "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
 
 
 def test_config_must_be_object(ds2_csv, tmp_path) -> None:
@@ -762,6 +768,15 @@ def test_evaluate_garbage_result_file(ds2_csv, tmp_path, capsys, payload) -> Non
 def test_evaluate_missing_result_is_io_error(ds2_csv, tmp_path) -> None:
     assert run("evaluate", "--result", str(tmp_path / "absent.json"),
                "--data", ds2_csv, "--dataset", "2") == 3
+
+
+@pytest.mark.parametrize("payload", [b"{not json", NOT_UTF8], ids=["syntax", "not-utf8"])
+def test_evaluate_result_not_json_is_usage_error(ds2_csv, tmp_path, capsys, payload) -> None:
+    result = tmp_path / "result.json"
+    result.write_bytes(payload)
+    assert run("evaluate", "--result", str(result), "--data", ds2_csv, "--dataset", "2") == 2
+    err = capsys.readouterr().err
+    assert f"{result} is not valid JSON" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["nan", "inf", "overflowing-data", "huge-estimate"])
@@ -944,6 +959,59 @@ def test_repro_gate_needs_links_and_coefficients(tmp_path, monkeypatch, capsys, 
 
 def test_repro_rejects_unknown_mode(tmp_path) -> None:
     assert run("repro", "tables", "--out-dir", str(tmp_path)) == 2
+
+
+# ------------------------------------------------------------- write errors
+
+_QUICK = ("--restarts", "2", "--iterations", "1")
+# name -> (argv, the path that cannot be written). {data} is dataset 2's
+# CSV; {dir} is a fresh directory that holds a true-matrix truth.json and
+# two directories named as the repro reports.
+_UNWRITABLE = {
+    "generate-missing-dir": (("generate", "--dataset", "2", "--m", "30",
+                              "--out", "{dir}/absent/d.csv"), "{dir}/absent/d.csv"),
+    "discover-out-is-dir": (("discover", "--data", "{data}", *_QUICK, "--out", "{dir}"), "{dir}"),
+    "evaluate-out-is-dir": (("evaluate", "--result", "{dir}/truth.json", "--data", "{data}",
+                             "--dataset", "2", "--out", "{dir}"), "{dir}"),
+    "sweep-out-is-dir": (("sweep", "--dataset", "2", "--sigma-grid", "0.3", "--lambda-grid", "5",
+                          "--m", "30", *_QUICK, "--out", "{dir}"), "{dir}"),
+    "repro-out-dir-is-file": (("repro", "estimates", "--out-dir", "{data}"), "{data}"),
+    "repro-estimates-md-is-dir": (("repro", "estimates", "--datasets", "1", "--m", "50", *_QUICK,
+                                   "--out-dir", "{dir}"), "{dir}/repro_estimates.md"),
+    "repro-figures-md-is-dir": (("repro", "figures", "--datasets", "3", "--sigma-grid", "0.3",
+                                 "--lambda-grid", "5", "--m", "50", *_QUICK, "--out-dir", "{dir}"),
+                                "{dir}/repro_sweeps.md"),
+}
+
+
+@pytest.mark.parametrize("argv, path", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
+def test_unwritable_output_is_io_error(ds2_csv, tmp_path, capsys, argv, path) -> None:
+    """Every file or directory a command cannot write is exit 3, with a
+    message that names its path and no traceback."""
+    (tmp_path / "truth.json").write_text(json.dumps(builtin_spec(2).structural_matrix().to_json()))
+    for name in ("repro_estimates.md", "repro_sweeps.md"):
+        (tmp_path / name).mkdir()
+    fill = partial(str.format, dir=str(tmp_path), data=ds2_csv)
+    assert run(*map(fill, argv)) == 3
+    err = capsys.readouterr().err
+    assert fill(path) in err and "Traceback" not in err
+
+
+def test_console_entry_point_exit_code(tmp_path) -> None:
+    """Through `python -m slcd.cli`, as a shell runs it, an unreadable
+    input gives process status 3, not the 1 of an uncaught exception."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "slcd.cli", "discover",
+                           "--data", str(tmp_path / "absent.csv")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert done.returncode == 3
+    assert "cannot read dataset" in done.stderr and "Traceback" not in done.stderr
 
 
 # ------------------------------------------------------------ fuzzed settings
