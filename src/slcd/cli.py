@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -242,13 +243,12 @@ def cmd_generate(args) -> int:
     spec = _resolve_spec(args)
     ds = sample(spec, args.m, args.seed)
     out = getattr(args, "out", f"{spec.name}.csv")
-    csv_path, sidecar_path = save_dataset(ds, out)
+    save_dataset(ds, out)
     links = len(true_edges(spec.structural_matrix()))
-    sidecar = _read_json(sidecar_path)
-    sidecar["true_links"] = links
-    sidecar["n"] = spec.n
-    _write_json(sidecar_path, sidecar)
-    print(f"wrote {csv_path} ({args.m} samples, {spec.n} variables) and {sidecar_path}")
+    sidecar = os.path.splitext(out)[0] + ".json"   # for people: no command reads it
+    _write_json(sidecar, {"format_version": FORMAT_VERSION, "spec_name": spec.name,
+                          "seed": args.seed, "m": args.m, "n": spec.n, "true_links": links})
+    print(f"wrote {out} ({args.m} samples, {spec.n} variables) and {sidecar}")
     print(f"true links: {links}")
     return EXIT_OK
 
@@ -439,9 +439,10 @@ def _comparison_section(ds_id: int, rec: dict) -> list[str]:
 def _repro_gated(args, out_dir: Path, which: str, title: str, notes: list[str],
                  section, drop: tuple[str, ...] = ()) -> int:
     """Run the built-in benchmarks and gate datasets 2-5 on recovery.
-    Writes repro_<which>.json, whose records leave out the fields in
-    drop, and repro_<which>.md: the title, the settings, the notes, then
-    section(id, record) for each dataset."""
+    Writes repro_<which>.md: the title, the settings, the notes, then
+    section(id, record) for each dataset; then repro_<which>.json, whose
+    records leave out the fields in drop. The report comes last, so that
+    a run that cannot write the .md leaves none."""
     hp, m, seed = args.hp, args.m, args.seed
     records = []
     lines = [title, "", f"sigma={hp.sigma:g}, lambda={hp.lam:g}, tau={hp.tau}, "
@@ -467,15 +468,16 @@ def _repro_gated(args, out_dir: Path, which: str, title: str, notes: list[str],
         "datasets": records,
         "passed": passed,
     }
-    _write_json(out_dir / f"repro_{which}.json", report)
     (out_dir / f"repro_{which}.md").write_text("\n".join(lines), encoding="utf-8")
+    _write_json(out_dir / f"repro_{which}.json", report)
     print(f"wrote {out_dir / f'repro_{which}.md'} and .json; "
           f"{'all gates passed' if passed else 'TOLERANCE MISSED'}")
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
 def _repro_sweeps(args, out_dir: Path) -> int:
-    """One hyperparameter sweep CSV per dataset."""
+    """One hyperparameter sweep CSV per dataset, then repro_sweeps.md
+    and, last, as in _repro_gated, repro_sweeps.json."""
     sigma_grid, lambda_grid, m = args.sigma_grid, args.lambda_grid, args.m
     summaries = []
     lines = ["# Hyperparameter sweeps", "",
@@ -503,8 +505,8 @@ def _repro_sweeps(args, out_dir: Path) -> int:
         "lambda_grid": list(lambda_grid),
         "datasets": summaries,
     }
-    _write_json(out_dir / "repro_sweeps.json", report)
     (out_dir / "repro_sweeps.md").write_text("\n".join(lines), encoding="utf-8")
+    _write_json(out_dir / "repro_sweeps.json", report)
     print(f"wrote {out_dir / 'repro_sweeps.md'} and .json")
     return EXIT_OK
 

@@ -8,13 +8,11 @@ perturbs the draws of earlier variables.
 """
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef, _require_integer
+from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef
 
 __all__ = [
     "Dataset",
@@ -26,8 +24,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
-
-FORMAT_VERSION = 1
 
 BUILTIN_IDS = (1, 2, 3, 4, 5)
 
@@ -96,12 +92,9 @@ _BUILTIN_SPECS: dict[int, ScmSpec] = {
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n-by-m sample matrix (columns are samples) plus provenance: the
-    name of the spec it was drawn from, a string, and its integer seed."""
+    """An n-by-m sample matrix (columns are samples)."""
 
     X: np.ndarray
-    spec_name: str
-    seed: int
 
     def __post_init__(self):
         # Force one memory layout: BLAS kernels round differently on
@@ -118,9 +111,6 @@ class Dataset:
         if a.ndim != 2:
             raise ValueError(f"data must be a 2-d matrix, got shape {a.shape}")
         object.__setattr__(self, "X", a)
-        if not isinstance(self.spec_name, str):
-            raise ValueError(f"spec_name must be a string, got {self.spec_name!r}")
-        _require_integer(seed=self.seed)
 
     @property
     def n(self) -> int:
@@ -149,10 +139,10 @@ def _own_memory(a: np.ndarray) -> bool:
 
 def _as_dataset(data) -> Dataset:
     """data itself when it is a Dataset, else a raw n-by-m array wrapped
-    into one without provenance."""
+    into one."""
     if isinstance(data, Dataset):
         return data
-    return Dataset(X=np.asarray(data, dtype=float), spec_name="", seed=0)
+    return Dataset(X=np.asarray(data, dtype=float))
 
 
 def builtin_spec(dataset_id: int) -> ScmSpec:
@@ -180,7 +170,7 @@ def sample(spec: ScmSpec, m: int, seed: int) -> Dataset:
             for j, c in v.terms:
                 X[i] += c * X[j]
     X.flags.writeable = False
-    return Dataset(X=X, spec_name=spec.name, seed=int(seed))
+    return Dataset(X=X)
 
 
 def _centred(X: np.ndarray) -> np.ndarray:
@@ -205,7 +195,7 @@ def center(ds: Dataset) -> Dataset:
     if X is ds.X:
         return ds
     X.flags.writeable = False   # the Dataset keeps it without a copy
-    return replace(ds, X=X)
+    return Dataset(X=X)
 
 
 def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -219,30 +209,14 @@ def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return Sigma, np.diag(Sigma).copy()
 
 
-def _sidecar_path(csv_path: str) -> str:
-    root, _ = os.path.splitext(csv_path)
-    return root + ".json"
-
-
-def save_dataset(ds: Dataset, csv_path: str) -> tuple[str, str]:
-    """Write the dataset as CSV (one sample per line, n columns, 17
-    significant digits) plus a JSON sidecar with the provenance fields.
-    Returns the two paths written. The bytes are those of
+def save_dataset(ds: Dataset, csv_path: str) -> None:
+    """Write the dataset as CSV: one sample per line, n columns, 17
+    significant digits. The bytes are those of
     np.savetxt(fh, X.T, fmt="%.17g", delimiter=","); the file is
     written in pieces on up to one process per CPU (see _csvio)."""
     from . import _csvio
 
     _csvio.write(ds.X, csv_path)
-    sidecar = _sidecar_path(csv_path)
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "spec_name": ds.spec_name,
-        "seed": ds.seed,
-        "m": ds.m,
-    }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return csv_path, sidecar
 
 
 def load_dataset(csv_path: str) -> Dataset:
@@ -250,28 +224,7 @@ def load_dataset(csv_path: str) -> Dataset:
     any other line must hold the same number of numeric cells, so a
     line of only spaces or a '#' comment is malformed: the ValueError
     names the first malformed line. The file is read in pieces on up to
-    one process per CPU (see _csvio). The sidecar is optional; without
-    it the provenance fields fall back to neutral values; a sidecar that
-    is not valid JSON, is not a JSON object, whose seed is not an
-    integer or whose spec_name is not a string is a ValueError that
-    names it. A "centered" value in the sidecar, which earlier versions
-    wrote, is ignored: data read from a file are never taken as centred,
-    so slcd() centres them."""
+    one process per CPU (see _csvio)."""
     from . import _csvio
 
-    X = _csvio.read(csv_path)
-    meta = {"spec_name": "", "seed": 0}
-    sidecar = _sidecar_path(csv_path)
-    if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{sidecar}: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{sidecar}: sidecar must be a JSON object")
-        meta.update({k: loaded[k] for k in ("spec_name", "seed") if k in loaded})
-    try:
-        return Dataset(X=X, **meta)
-    except ValueError as exc:   # X is a matrix, so the sidecar's spec_name or seed
-        raise ValueError(f"{sidecar}: {exc}") from None
+    return Dataset(X=_csvio.read(csv_path))

@@ -147,8 +147,6 @@ class SweepResult:
     """Metrics over a (sigma, lambda) grid on one built-in dataset."""
 
     dataset_id: int
-    sigma_grid: tuple[float, ...]
-    lambda_grid: tuple[float, ...]
     cells: list[SweepCell] = field(default_factory=list)
 
     def to_csv(self, path: str) -> str:
@@ -242,9 +240,4 @@ def sweep(dataset_id: int,
     # interpreter lock.
     with _fork._runner(len(tasks), state, blas=True) as (_, run):
         cells = list(run(_run_cell, tasks))
-    return SweepResult(
-        dataset_id=int(dataset_id),
-        sigma_grid=sigma_grid,
-        lambda_grid=lambda_grid,
-        cells=cells,
-    )
+    return SweepResult(dataset_id=int(dataset_id), cells=cells)

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from slcd import (
+    DEFAULT_LAMBDA_GRID,
+    DEFAULT_SIGMA_GRID,
     Hyperparams,
     SolverControls,
     builtin_spec,
@@ -253,14 +255,14 @@ def test_criterion_09_small_instance_oracle() -> None:
 def test_criterion_10_broad_parameter_region() -> None:
     """The default 5x5 grid on dataset 2 contains a 4-connected region
     of at least 4 cells with precision = recall = 1."""
-    result = sweep(2, hp=Hyperparams(restarts=8), m=1000)
+    sigmas, lams = DEFAULT_SIGMA_GRID, DEFAULT_LAMBDA_GRID
+    result = sweep(2, sigmas, lams, hp=Hyperparams(restarts=8), m=1000)
     ok = {
         (c.sigma, c.lam)
         for c in result.cells
         if c.metrics is not None
         and c.metrics.precision == 1.0 and c.metrics.recall == 1.0
     }
-    sigmas, lams = result.sigma_grid, result.lambda_grid
     cells = {(i, j) for i, s in enumerate(sigmas)
              for j, l in enumerate(lams) if (s, l) in ok}
     best = 0

@@ -1,10 +1,13 @@
-"""The package's public names: each has a caller outside the tests, so
-adding one is a decision this list makes visible."""
+"""The package's public names and settable values: each has a caller
+outside the tests, so adding one is a decision these lists make
+visible."""
 from __future__ import annotations
 
+import dataclasses
 import types
 
 import slcd
+from slcd import cli
 
 PUBLIC_NAMES = [
     "BUILTIN_IDS",
@@ -48,10 +51,28 @@ PUBLIC_NAMES = [
 ]
 
 
+# The settable values: the fields of the public dataclasses a caller
+# builds, and the settings of the command line and its --config file.
+SETTABLE_FIELDS = {
+    "Dataset": ["X"],
+    "Hyperparams": ["sigma", "lam", "tau", "eps1", "eps2", "iterations", "restarts"],
+    "SolverControls": ["max_inner_steps", "seed"],
+    "SweepResult": ["dataset_id", "cells"],
+}
+CLI_SETTINGS = ["m", "seed", "theta", "dataset", "sigma_grid", "lambda_grid", "datasets",
+                "sigma", "lambda", "tau", "eps1", "eps2", "iterations", "restarts"]
+
+
 def test_public_names_are_pinned() -> None:
     assert sorted(slcd.__all__) == PUBLIC_NAMES
     for name in slcd.__all__:
         getattr(slcd, name)
+
+
+def test_settable_values_are_pinned() -> None:
+    assert {name: [f.name for f in dataclasses.fields(getattr(slcd, name))]
+            for name in SETTABLE_FIELDS} == SETTABLE_FIELDS
+    assert list(cli._SETTINGS) == CLI_SETTINGS
 
 
 def test_reference_functions_are_not_exported() -> None:

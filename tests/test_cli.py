@@ -98,10 +98,8 @@ def test_generate_writes_csv_and_sidecar(tmp_path) -> None:
     expected = sample(builtin_spec(2), 50, 3)
     np.testing.assert_array_equal(ds.X, expected.X)
     meta = json.loads((tmp_path / "d2.json").read_text())
-    assert meta["true_links"] == 3
-    assert meta["n"] == 4
-    assert meta["m"] == 50
-    assert meta["seed"] == 3
+    assert meta == {"format_version": 1, "spec_name": "dataset2", "seed": 3, "m": 50, "n": 4,
+                    "true_links": 3}
 
 
 def test_generate_default_output_name(tmp_path, monkeypatch) -> None:
@@ -360,41 +358,24 @@ def test_single_sample_dataset_is_io_error(tmp_path, capsys) -> None:
     assert "Traceback" not in err
 
 
-MALFORMED_SIDECARS = {
-    "seed-null": '{"seed": null}',
-    "seed-list": '{"seed": [1]}',
-    "seed-overflow": '{"seed": 1e400}',
-    "seed-fraction": '{"seed": 1.7}',
-    "seed-bool": '{"seed": true}',
-    "spec-name-object": '{"spec_name": {"a": [1]}, "seed": 3}',
-    "spec-name-number": '{"spec_name": 7}',
-    "spec-name-null": '{"spec_name": null}',
-    "list": '["seed"]',
-    "string": '"seed"',
-    "not-json": '{"seed": ',
-}
-
-
-@pytest.mark.parametrize("text", MALFORMED_SIDECARS.values(), ids=MALFORMED_SIDECARS.keys())
-def test_malformed_sidecar_is_io_error(ds2_csv, tmp_path, capsys, text) -> None:
-    """A sidecar that is not valid JSON, is not a JSON object, whose seed
-    is not an integer or whose spec_name is not a string is a ValueError
-    that names it, and discover and evaluate exit 3 on it."""
-    data = tmp_path / "d.csv"
-    data.write_bytes(Path(ds2_csv).read_bytes())
-    sidecar = tmp_path / "d.json"
-    sidecar.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as exc:
-        load_dataset(str(data))
-    assert str(exc.value).startswith(f"{sidecar}: ")
+def test_sidecar_is_not_read(ds2_csv, tmp_path) -> None:
+    """discover and evaluate read the CSV alone: beside a sidecar that
+    is not JSON they exit 0 and write what they write without one."""
     result = tmp_path / "result.json"
     result.write_text(json.dumps(builtin_spec(2).structural_matrix().to_json()))
-    assert run("discover", "--data", str(data), "--out", str(tmp_path / "r.json")) == 3
-    assert run("evaluate", "--result", str(result), "--data", str(data),
-               "--dataset", "2") == 3
-    err = capsys.readouterr().err
-    assert err.count(f"malformed dataset: {sidecar}") == 2
-    assert "Traceback" not in err
+    outputs = []
+    for name, sidecar in (("bare", None), ("garbage", b'{"seed": \xff')):
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(Path(ds2_csv).read_bytes())
+        if sidecar is not None:
+            (tmp_path / f"{name}.json").write_bytes(sidecar)
+        found, metrics = tmp_path / f"{name}.result.json", tmp_path / f"{name}.metrics.json"
+        assert run("discover", "--data", str(data), "--restarts", "2", "--iterations", "1",
+                   "--out", str(found)) == 0
+        assert run("evaluate", "--result", str(result), "--data", str(data), "--dataset", "2",
+                   "--out", str(metrics)) == 0
+        outputs.append((strip_walls(json.loads(found.read_text())), metrics.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # ------------------------------------------------------------ configuration
@@ -787,7 +768,7 @@ def test_evaluate_non_finite_data_is_numeric_abort(ds2_csv, tmp_path, capsys, ca
     data = tmp_path / "bad.csv"
     D_hat = builtin_spec(2).structural_matrix().entries.copy()
     if case == "overflowing-data":
-        save_dataset(Dataset(load_dataset(ds2_csv).X * 1e160, "huge", 0), str(data))
+        save_dataset(Dataset(load_dataset(ds2_csv).X * 1e160), str(data))
     elif case == "huge-estimate":
         data = Path(ds2_csv)
         D_hat[2, 0] = 1e200
@@ -987,7 +968,8 @@ _UNWRITABLE = {
 @pytest.mark.parametrize("argv, path", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
 def test_unwritable_output_is_io_error(ds2_csv, tmp_path, capsys, argv, path) -> None:
     """Every file or directory a command cannot write is exit 3, with a
-    message that names its path and no traceback."""
+    message that names its path and no traceback. No repro report is
+    left behind: it is written after the .md."""
     (tmp_path / "truth.json").write_text(json.dumps(builtin_spec(2).structural_matrix().to_json()))
     for name in ("repro_estimates.md", "repro_sweeps.md"):
         (tmp_path / name).mkdir()
@@ -995,6 +977,7 @@ def test_unwritable_output_is_io_error(ds2_csv, tmp_path, capsys, argv, path) ->
     assert run(*map(fill, argv)) == 3
     err = capsys.readouterr().err
     assert fill(path) in err and "Traceback" not in err
+    assert not list(tmp_path.glob("repro_*.json"))
 
 
 def test_console_entry_point_exit_code(tmp_path) -> None:

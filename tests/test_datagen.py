@@ -133,7 +133,7 @@ def test_center_constant_row_goes_to_zero() -> None:
     from slcd import Dataset
 
     X = np.vstack([np.full(50, 3.25), np.arange(50, dtype=float)])
-    ds = Dataset(X=X, spec_name="const", seed=0)
+    ds = Dataset(X=X)
     np.testing.assert_array_equal(center(ds).X[0], np.zeros(50))
 
 
@@ -151,7 +151,7 @@ def test_sample_covariance_uses_1_over_m() -> None:
     from slcd import Dataset
 
     X = np.array([[1.0, -1.0]])
-    ds = Dataset(X=X, spec_name="two_points", seed=0)
+    ds = Dataset(X=X)
     Sigma, _ = sample_covariance(ds)
     # centered values are +-1; with the 1/m normalizer the variance is 1
     assert Sigma[0, 0] == pytest.approx(1.0)
@@ -186,15 +186,9 @@ def test_center_idempotence_property(seed: int, m: int) -> None:
 def test_csv_round_trip(tmp_path) -> None:
     ds = sample(builtin_spec(2), 123, 99)
     csv_path = str(tmp_path / "ds.csv")
-    written_csv, sidecar = save_dataset(ds, csv_path)
-    back = load_dataset(written_csv)
+    save_dataset(ds, csv_path)
+    back = load_dataset(csv_path)
     np.testing.assert_array_equal(back.X, ds.X)
-    assert back.spec_name == ds.spec_name
-    assert back.seed == ds.seed
-    meta = json.loads((tmp_path / "ds.json").read_text())
-    for key in ("spec_name", "seed", "m"):
-        assert key in meta
-    assert "centered" not in meta
 
 
 FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -209,8 +203,9 @@ def test_csv_round_trip_bit_identical(tmp_path_factory, X) -> None:
     """Every finite double, subnormals and signed zeros included, is
     written as 17 significant digits, one sample per line, and read back
     to the same bits."""
-    ds = Dataset(X=X, spec_name="prop", seed=0)
-    csv_path, _ = save_dataset(ds, str(tmp_path_factory.mktemp("csv") / "d.csv"))
+    ds = Dataset(X=X)
+    csv_path = str(tmp_path_factory.mktemp("csv") / "d.csv")
+    save_dataset(ds, csv_path)
     with open(csv_path, "rb") as fh:
         text = fh.read().decode("utf-8")
     assert text == "".join(",".join(f"{v:.17g}" for v in col) + "\n" for col in X.T)
@@ -227,7 +222,7 @@ def _savetxt_bytes(path, X) -> bytes:
 
 
 def _save_bytes(path, X) -> bytes:
-    save_dataset(Dataset(X=X, spec_name="w", seed=0), str(path))
+    save_dataset(Dataset(X=X), str(path))
     return path.read_bytes()
 
 
@@ -266,43 +261,41 @@ def test_csv_writer_matches_savetxt_property(tmp_path_factory, X, block) -> None
 
 def test_csv_layout_one_sample_per_line(tmp_path) -> None:
     ds = sample(builtin_spec(2), 10, 0)
-    csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    csv_path = str(tmp_path / "d.csv")
+    save_dataset(ds, csv_path)
     lines = [l for l in Path(csv_path).read_text(encoding="utf-8").splitlines() if l]
     assert len(lines) == 10
     assert len(lines[0].split(",")) == 4
 
 
 def test_load_without_sidecar(tmp_path) -> None:
+    # save_dataset() writes the CSV alone, and load_dataset() needs no more
     ds = sample(builtin_spec(1), 20, 0)
-    csv_path, sidecar = save_dataset(ds, str(tmp_path / "d.csv"))
-    (tmp_path / "d.json").unlink()
+    csv_path = str(tmp_path / "d.csv")
+    assert save_dataset(ds, csv_path) is None
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
     back = load_dataset(csv_path)
     np.testing.assert_array_equal(back.X, ds.X)
 
 
 def test_sidecar_centered_claim_is_ignored(tmp_path) -> None:
-    # shifted data whose sidecar (as earlier versions wrote it) says they
-    # are centred must solve as the same file read without a sidecar
+    # shifted data beside a sidecar, be it one that earlier versions wrote
+    # claiming they are centred or one that is no valid sidecar at all,
+    # must solve as the same file read without a sidecar
     ds = sample(builtin_spec(2), 200, 0)
-    shifted = Dataset(X=ds.X + 3.0, spec_name=ds.spec_name, seed=ds.seed)
-    claimed, _ = save_dataset(shifted, str(tmp_path / "claimed.csv"))
-    meta = json.loads((tmp_path / "claimed.json").read_text())
-    (tmp_path / "claimed.json").write_text(json.dumps({**meta, "centered": True}))
-    bare, _ = save_dataset(shifted, str(tmp_path / "bare.csv"))
-    (tmp_path / "bare.json").unlink()
+    shifted = Dataset(X=ds.X + 3.0)
+    bare = str(tmp_path / "bare.csv")
+    save_dataset(shifted, bare)
     hp, controls = Hyperparams(restarts=2, iterations=1), SolverControls(max_inner_steps=20)
-    a = slcd(load_dataset(claimed), hp, controls)
-    b = slcd(load_dataset(bare), hp, controls)
-    assert a.D_opt.tobytes() == b.D_opt.tobytes()
-
-
-@pytest.mark.parametrize("spec_name, seed", [(7, 0), (None, 0), ("d", 1.5), ("d", True)])
-def test_dataset_rejects_mistyped_provenance(spec_name, seed) -> None:
-    """A Dataset names its spec with a string and its seed with an
-    integer, so save_dataset() writes only sidecars that load_dataset()
-    reads back."""
-    with pytest.raises(ValueError):
-        Dataset(X=np.zeros((2, 3)), spec_name=spec_name, seed=seed)
+    expected = slcd(load_dataset(bare), hp, controls).D_opt.tobytes()
+    sidecars = [json.dumps({"format_version": 1, "spec_name": "dataset2", "seed": 0, "m": 200,
+                            "centered": True}).encode(),
+                b'{"seed": \xff', b'{"seed": 1.7}', b'{"spec_name": {"a": 1}}']
+    for i, sidecar in enumerate(sidecars):
+        csv_path = tmp_path / f"d{i}.csv"
+        csv_path.write_bytes(Path(bare).read_bytes())
+        (tmp_path / f"d{i}.json").write_bytes(sidecar)
+        assert slcd(load_dataset(str(csv_path)), hp, controls).D_opt.tobytes() == expected
 
 
 def test_dataset_normalizes_memory_layout(tmp_path) -> None:
@@ -312,12 +305,13 @@ def test_dataset_normalizes_memory_layout(tmp_path) -> None:
     # otherwise BLAS rounding differs between loaded and sampled data.
     raw = np.asfortranarray(np.arange(12.0).reshape(3, 4))
     assert not raw.flags["C_CONTIGUOUS"]
-    ds = Dataset(X=raw, spec_name="layout", seed=0)
+    ds = Dataset(X=raw)
     assert ds.X.flags["C_CONTIGUOUS"]
     np.testing.assert_array_equal(ds.X, raw)
 
     sampled = sample(builtin_spec(2), 50, 7)
-    csv_path, _ = save_dataset(sampled, str(tmp_path / "d.csv"))
+    csv_path = str(tmp_path / "d.csv")
+    save_dataset(sampled, csv_path)
     back = load_dataset(csv_path)
     assert back.X.flags["C_CONTIGUOUS"]
 
@@ -327,24 +321,25 @@ def test_dataset_keeps_read_only_arrays_and_copies_others(tmp_path) -> None:
     a writable array, a subclass and a view are copied into a plain,
     read-only ndarray."""
     X = np.arange(12.0).reshape(3, 4).copy()
-    copied = Dataset(X=X, spec_name="w", seed=0)
+    copied = Dataset(X=X)
     assert not np.shares_memory(copied.X, X) and not copied.X.flags.writeable
     view = X[:, :]
     view.flags.writeable = False
-    from_view = Dataset(X=view, spec_name="v", seed=0).X
+    from_view = Dataset(X=view).X
     assert not np.shares_memory(from_view, X)
     with pytest.warns(PendingDeprecationWarning):
         matrix = np.asmatrix(X.copy())
     matrix.flags.writeable = False
-    from_matrix = Dataset(X=matrix, spec_name="m", seed=0).X
+    from_matrix = Dataset(X=matrix).X
     assert type(from_matrix) is np.ndarray and not np.shares_memory(from_matrix, matrix)
     np.testing.assert_array_equal(from_matrix, X)
     assert not from_matrix.flags.writeable
     X.flags.writeable = False
-    assert Dataset(X=X, spec_name="r", seed=0).X is X
-    csv_path, _ = save_dataset(Dataset(X=X, spec_name="r", seed=0), str(tmp_path / "d.csv"))
+    assert Dataset(X=X).X is X
+    csv_path = str(tmp_path / "d.csv")
+    save_dataset(Dataset(X=X), csv_path)
     loaded = load_dataset(csv_path)
-    assert Dataset(X=loaded.X, spec_name="l", seed=0).X is loaded.X
+    assert Dataset(X=loaded.X).X is loaded.X
 
 
 def test_center_allocates_the_result_once() -> None:
@@ -381,7 +376,7 @@ def test_csv_writer_pieces_match_savetxt(tmp_path, two_cpus, n, m) -> None:
         written = _save_bytes(tmp_path / "a.csv", X)
     assert written == _savetxt_bytes(tmp_path / "b.csv", X)
     assert two_cpus.call_count == (m > 5)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json", "b.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 def _csv_text(rng, rows: int, n: int) -> str:
@@ -423,7 +418,8 @@ def test_csv_reader_pieces_match_one_piece(tmp_path, two_cpus, piece) -> None:
 def test_csv_round_trip_in_pieces_is_bit_identical(tmp_path, two_cpus) -> None:
     ds = sample(builtin_spec(5), 3000, 1)
     with mock.patch.object(_csvio, "_WRITE_PIECE", 700), mock.patch.object(_csvio, "_READ_PIECE", 5000):
-        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+        csv_path = str(tmp_path / "d.csv")
+        save_dataset(ds, csv_path)
         back = load_dataset(csv_path)
     assert two_cpus.call_count == 2
     assert back.X.tobytes() == ds.X.tobytes()
@@ -436,7 +432,8 @@ def test_more_processes_than_cpus_write_disjoint_columns(tmp_path, usable_cpus) 
     ds = sample(builtin_spec(4), 2000, 5)
     usable_cpus(6)
     with mock.patch.object(_csvio, "_WRITE_PIECE", 97), mock.patch.object(_csvio, "_READ_PIECE", 999):
-        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+        csv_path = str(tmp_path / "d.csv")
+        save_dataset(ds, csv_path)
         back = load_dataset(csv_path)
     assert Path(csv_path).read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", ds.X)
     assert back.X.tobytes() == ds.X.tobytes()
@@ -454,7 +451,8 @@ def test_one_cpu_runs_the_pieces_in_process(tmp_path, usable_cpus) -> None:
     ds = sample(builtin_spec(2), 500, 3)
     pool = usable_cpus(1)
     with mock.patch.object(_csvio, "_WRITE_PIECE", 64), mock.patch.object(_csvio, "_READ_PIECE", 512):
-        csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+        csv_path = str(tmp_path / "d.csv")
+        save_dataset(ds, csv_path)
         back = load_dataset(csv_path)
     pool.assert_not_called()
     assert back.X.tobytes() == ds.X.tobytes()
@@ -467,7 +465,8 @@ def test_load_beside_another_thread_runs_in_process(tmp_path, two_cpus) -> None:
     import threading
 
     ds = sample(builtin_spec(3), 400, 2)
-    csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    csv_path = str(tmp_path / "d.csv")
+    save_dataset(ds, csv_path)
     loaded = []
     with mock.patch.object(_csvio, "_READ_PIECE", 256):
         worker = threading.Thread(target=lambda: loaded.append(_load_bytes(csv_path)))
@@ -487,7 +486,8 @@ def test_load_inside_a_pool_worker(tmp_path, two_cpus) -> None:
     import multiprocessing
 
     ds = sample(builtin_spec(3), 400, 2)
-    csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    csv_path = str(tmp_path / "d.csv")
+    save_dataset(ds, csv_path)
     with mock.patch.object(_csvio, "_READ_PIECE", 256):
         with multiprocessing.get_context("fork").Pool(1) as outer:
             loaded = outer.apply_async(_load_bytes, (csv_path,)).get(timeout=120)

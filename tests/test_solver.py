@@ -347,7 +347,8 @@ def test_slcd_identical_on_saved_and_loaded_data(tmp_path) -> None:
     # The CSV round trip is value-exact, so a solve on reloaded data
     # must reproduce the in-memory solve bit for bit.
     ds = sample(builtin_spec(2), 200, 5)
-    csv_path, _ = save_dataset(ds, str(tmp_path / "d.csv"))
+    csv_path = str(tmp_path / "d.csv")
+    save_dataset(ds, csv_path)
     back = load_dataset(csv_path)
     hp = Hyperparams(restarts=3)
     ctl = SolverControls(seed=2, max_inner_steps=80)
