@@ -1,5 +1,5 @@
 """Pools of forked worker processes, shared by the CSV codec (_csvio),
-the restart rounds of solver.slcd() and the grid cells of
+the restart blocks of solver.slcd() and the grid cells of
 evaluation.sweep().
 
 Callers go through _runner, which yields the number of processes and a

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef
+from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef, _require_integer
 
 __all__ = [
     "Dataset",
@@ -159,9 +159,12 @@ def sample(spec: ScmSpec, m: int, seed: int) -> Dataset:
     """Draw m samples from the spec. Independent variables are drawn
     i.i.d. from their distributions; dependents are computed exactly.
     Identical (spec, m, seed) always yields bit-identical data."""
+    _require_integer(m=m, seed=seed)
     if m < 1:
         raise ValueError(f"sample count must be at least 1, got {m}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = np.zeros((spec.n, m))
     for i, v in enumerate(spec.variables):
         if v.role == "independent":

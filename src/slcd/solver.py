@@ -27,23 +27,25 @@ step passes.
 All restarts are solved together: one SQP call advances a (k, n, n)
 stack of iterates in lockstep, with one stacked SVD per evaluation and
 stacked products for the QP and the BFGS update, while the per-restart
-scalars (step, merit weight, stop tests) stay Python floats. A restart
-leaves the stack when its own solve stops. The backtracking runs in
-windows: in each round every restart still searching evaluates its next
-few trial steps in one stacked call and takes the first that passes,
-the same step as one-at-a-time backtracking. A restart's first window
-reaches one step past the step it accepted in its previous iteration
-(alpha = 1 and 1/2 at the start of a solve), and each later window is
-twice the one before: a search that accepts a step no more than one
-halving below its last ends in one round. Every row is computed on its
-own, so a restart's iterates are bit-identical whatever the stack it
-runs in.
-slcd() uses that to split each round's stack into contiguous blocks of
-at least _MIN_BLOCK restarts, one per process that _fork._runner gives
-it, and joins the solved blocks in restart order; the calling process
-then thresholds all restarts with one row_threshold call and scores
-them with one evaluation. A restart's wall_ms is its share of the run's
-time by SQP iterations.
+scalars (step, merit weight, stop tests) stay Python floats. The
+backtracking runs in windows: in each round every restart still
+searching evaluates its next few trial steps in one stacked call and
+takes the first that passes, the same step as one-at-a-time
+backtracking. A restart's first window reaches one step past the step
+it accepted in its previous iteration (alpha = 1 and 1/2 at the start
+of a solve), and each later window is twice the one before: a search
+that accepts a step no more than one halving below its last ends in one
+round. Every row is computed on its own, so a restart's iterates are
+bit-identical whatever the stack it runs in.
+Restarts share nothing until the final comparison, so no round waits
+for another restart's. slcd() splits the restarts into contiguous
+blocks, one per process that _fork._runner gives it, and each process
+carries its block through every round on one stack (_restarts): when a
+restart's solve stops, its iterate is thresholded and scored at once,
+and the candidate starts the restart's next solve, which joins the
+same stack while the others run on. The calling process joins the
+blocks' best candidates in restart order. A restart's wall_ms is its
+share of the run's time by SQP iterations.
 Being a local method matters here: each restart converges to a nearby
 stationary point instead of funneling into one global attractor, which
 is what keeps the restart population diverse enough to visit the true
@@ -86,16 +88,6 @@ _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _GRAD_TOL = 1e-6
 
-# The fewest restarts that slcd() hands one worker process. A stack's
-# cost per lockstep iteration is mostly a fixed dispatch cost, so a
-# smaller block saves less than the pool costs. On 2 CPUs at m = 1000,
-# two processes took about 1.2 times as long as one on 2 or 3 restarts
-# (datasets 2 and 5), about as long on 6 or 8, 0.95 times on 10
-# (dataset 2), and 0.97 (dataset 2) to 0.74 (dataset 4) times as long on
-# the default 20. Only 2 CPUs were measured: the blocks of 5 that 20
-# restarts make on 4 or more CPUs are unmeasured.
-_MIN_BLOCK = 5
-
 
 @dataclass(frozen=True)
 class SolverControls:
@@ -124,10 +116,10 @@ class SolverControls:
 class RestartRecord:
     """Diagnostics for one restart: its best candidate's score and
     residuals, the running minimum after it, and the work spent.
-    Restarts are solved in stacks, one per process, so a restart's own
-    time is not measured: wall_ms is the run's wall_ms
-    times the restart's share of all SQP iterations (an even share when
-    no restart iterated); the restarts' wall_ms add up to the run's."""
+    A restart runs all its rounds on a stack it shares with others, so
+    its own time is not measured: wall_ms is the run's wall_ms times the
+    restart's share of all SQP iterations (an even share when no restart
+    iterated); the restarts' wall_ms add up to the run's."""
 
     index: int
     seed: int
@@ -275,33 +267,41 @@ def _line_search(ws: _Workspace, z, P, rows, widths, nu, phi0, dphi):
     return out
 
 
-def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.ndarray, list[int]]:
+def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls, finish) -> None:
     """Local solves of the relaxed problem, one from each matrix of the
     (k, n, n) stack D0, advanced in lockstep. A member stops with its
     iterate when its QP has no usable active set even at H = I, when no
     trial step passes, or when it is feasible and its QP step is shorter
-    than _GRAD_TOL; and with the accepted point after a step shorter
-    than 1e-14. It then leaves the stack, and follows the same path as
-    it would in a stack of one. Returns the (k, n, n) final iterates and
-    the number of SQP iterations each member consumed."""
-    n = ws.n
-    nv = n * n
-    Z = np.array(D0, dtype=float).reshape(-1, nv)
-    iters = [0] * len(Z)
-    F, C, J = ws.evaluate(Z)
-    F, C = F.tolist(), C.tolist()
-    # the members still running, by index into Z, and their state row by row
-    idx = [i for i in range(len(Z))
-           if math.isfinite(F[i]) and math.isfinite(C[i][0]) and math.isfinite(C[i][1])]
-    z, J = Z[idx], J[idx]
-    f, c = [F[i] for i in idx], [C[i] for i in idx]
-    H = np.tile(np.eye(nv), (len(idx), 1, 1))
-    nu = [1.0] * len(idx)
-    # the index in _STEPS of each member's last accepted step
-    last = [0] * len(idx)
-    for it in range(controls.max_inner_steps):
+    than _GRAD_TOL; with the accepted point after a step shorter than
+    1e-14 or its controls.max_inner_steps-th iteration; and with its
+    start, after no iteration, where f or c is not finite. It then leaves
+    the stack, and follows the same path as it would in a stack of one.
+    The members that stop in one iteration go to finish(members, Z,
+    iters) as their indices into D0 (an int array), (k', n^2) final
+    iterates and SQP iterations. finish returns the indices and (k'',
+    n^2) starts of the members that solve again, which join the stack
+    before the next iteration, each with H = I, nu = 1 and its own
+    iteration count. Returns when the stack is empty."""
+    nv = ws.n * ws.n
+    members, starts = np.arange(len(D0)), np.array(D0, dtype=float).reshape(-1, nv)
+    # the stack row by row: the member's index into D0, its iterations,
+    # f and c at its iterate, merit weight and the index in _STEPS of its
+    # last accepted step; and its iterate, Jacobian and H, stacked
+    idx, its, f, c, nu, last = [], [], [], [], [], []
+    z, J, H = np.empty((0, nv)), np.empty((0, 3, nv)), np.empty((0, nv, nv))
+    while True:
+        while len(members):
+            F, C, Jn = ws.evaluate(starts)
+            ok = np.isfinite(F) & np.isfinite(C).all(axis=1)
+            k = int(ok.sum())
+            idx, f, c = idx + members[ok].tolist(), f + F[ok].tolist(), c + C[ok].tolist()
+            its, nu, last = its + [0] * k, nu + [1.0] * k, last + [0] * k
+            z, J = np.concatenate((z, starts[ok])), np.concatenate((J, Jn[ok]))
+            H = np.concatenate((H, np.tile(np.eye(nv), (k, 1, 1))))
+            members, starts = (finish(members[~ok], starts[~ok], [0] * (len(ok) - k))
+                               if k < len(ok) else (members[:0], starts[:0]))
         if not idx:
-            break
+            return
         P, lams = _qp_solve(H, J, c)
         reset = [r for r, l in enumerate(lams) if l is None]
         if reset:
@@ -326,18 +326,22 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             phi0.append(f[r] + nu[r] * viol0[r])
             dphi.append(min(gp[r] - nu[r] * viol0[r], -1e-16))
         hits = dict(zip(rows, _line_search(ws, z, P, rows, widths, nus, phi0, dphi)))
+        its = [t + 1 for t in its]
         # a member stops with its iterate when it has no QP step or no
-        # step passed, and with the accepted point after a negligible step
-        keep = [r for r in rows if hits[r] is not None and hits[r][0] * pn[r] >= 1e-14]
+        # step passed, and with the accepted point after a negligible
+        # step or its last iteration
+        keep = [r for r in rows if hits[r] is not None and hits[r][0] * pn[r] >= 1e-14
+                and its[r] < controls.max_inner_steps]
         if len(keep) < len(idx):
-            for r in set(range(len(idx))).difference(keep):
-                Z[idx[r]] = z[r] if hits.get(r) is None else hits[r][1]
-                iters[idx[r]] = it + 1
-            if not keep:
-                idx = []
-                break
-            idx, nu, lams = ([v[r] for r in keep] for v in (idx, nu, lams))
+            stop = sorted(set(range(len(idx))).difference(keep))
+            members, starts = finish(np.array([idx[r] for r in stop]),
+                                     np.array([z[r] if hits.get(r) is None else hits[r][1]
+                                               for r in stop]), [its[r] for r in stop])
+            idx, its, f, c, nu, lams, last = (
+                [v[r] for r in keep] for v in (idx, its, f, c, nu, lams, last))
             z, J, H = z[keep], J[keep], H[keep]
+            if not keep:
+                continue
         alpha = [hits[r][0] for r in keep]
         last = [hits[r][2] for r in keep]
         zn = np.array([hits[r][1] for r in keep])
@@ -371,10 +375,17 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls) -> tuple[np.n
             T = s_u.transpose(0, 2, 1) * w
             H[sel] += T + T.transpose(0, 2, 1)
         z, f, c, J = zn, fn.tolist(), cn.tolist(), Jn
-    for r, i in enumerate(idx):  # these ran out of iterations
-        Z[i] = z[r]
-        iters[i] = controls.max_inner_steps
-    return Z.reshape(-1, n, n), iters
+
+
+def _threshold(D: np.ndarray, tau: int) -> np.ndarray:
+    """row_threshold on a float array, unchecked. The solver's workers
+    call this, not the public name: a forked child inherits whatever
+    the calling process has bound to solver.row_threshold, such as a
+    tracer's wrapper, and must not run it."""
+    keep = np.argsort(-np.abs(D), axis=-1, kind="stable")[..., :tau]
+    out = np.zeros_like(D)
+    np.put_along_axis(out, keep, np.take_along_axis(D, keep, axis=-1), axis=-1)
+    return out
 
 
 def row_threshold(D, tau: int) -> np.ndarray:
@@ -384,10 +395,46 @@ def row_threshold(D, tau: int) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     if tau < 1:
         raise ValueError(f"tau must be at least 1, got {tau}")
-    keep = np.argsort(-np.abs(D), axis=-1, kind="stable")[..., :tau]
-    out = np.zeros_like(D)
-    np.put_along_axis(out, keep, np.take_along_axis(D, keep, axis=-1), axis=-1)
-    return out
+    return _threshold(D, tau)
+
+
+def _score(ws: _Workspace, D: np.ndarray):
+    """The scores of a (k, n, n) stack of candidates, as objective() at
+    REFERENCE_WEIGHT, and their (k, 2) (recon, cov) residuals."""
+    f, c, _ = ws.evaluate(D.reshape(len(D), -1), jac=False)
+    # np.maximum keeps a NaN residual in the score, where Python's
+    # max(0.0, nan) is 0.0
+    h = np.maximum(c, 0.0)
+    j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
+    return j, c + ws.eps
+
+
+def _restarts(ws: _Workspace, D0: np.ndarray, tau: int, rounds: int, controls: SolverControls):
+    """One block of restarts from the (k, n, n) starts D0, each through
+    its rounds of relaxed solve and row thresholding on one lockstep
+    stack (see _sqp): a restart whose solve stops is thresholded and
+    scored at once and, with rounds left, solves again from that
+    candidate while the others run on. Returns, per restart, its best
+    score (inf while no candidate was finite), that candidate, its
+    (recon, cov) residuals and the SQP iterations it ran."""
+    k = len(D0)
+    best_j, best_d = np.full(k, math.inf), np.zeros(D0.shape)
+    best_res, iters = np.full((k, 2), math.nan), np.zeros(k, dtype=int)
+    done = np.zeros(k, dtype=int)  # rounds finished
+
+    def finish(members, Z, its):
+        D = _threshold(Z.reshape(-1, ws.n, ws.n), tau)
+        j, res = _score(ws, D)
+        better = np.isfinite(j) & (j < best_j[members])
+        won = members[better]
+        best_j[won], best_d[won], best_res[won] = j[better], D[better], res[better]
+        iters[members] += its
+        done[members] += 1
+        go = done[members] < rounds
+        return members[go], D[go].reshape(-1, ws.n * ws.n)
+
+    _sqp(ws, D0, controls, finish)
+    return best_j, best_d, best_res, iters
 
 
 def _records(seed: int, best_j, best_res, iters, wall, why: str) -> list[RestartRecord]:
@@ -416,11 +463,12 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     and controls.seed: restart r draws its start from
     SeedSequence(entropy=controls.seed, spawn_key=(r,)).
 
-    The restarts are solved on up to one process per usable CPU, with
-    at least _MIN_BLOCK restarts each (see _fork._runner, which says
-    where no pool starts): in each round every process advances one
-    contiguous block of the restart stack, and then one stacked call in
-    this process thresholds all restarts and one more scores them. The
+    The restarts are split into contiguous blocks, one per process that
+    _fork._runner gives (one per usable CPU, up to one per restart; see
+    _fork._workers for where no pool starts), and each process carries
+    its block through every round (see _restarts): a restart's next
+    round starts as soon as its solve stops, with no wait for the
+    others. This process then joins the blocks in restart order. The
     result is the same bits on any number of processes. A worker that
     dies fails the call with concurrent.futures.process.BrokenProcessPool.
     A restart's wall_ms is the run's wall_ms times its share of all SQP
@@ -432,10 +480,6 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
         raise ValueError("discovery needs at least 2 samples")
     n, m = ds.X.shape
     R = hp.restarts
-    # per restart: best score (inf until a finite candidate), its matrix
-    # and residuals, and the SQP iterations run
-    best_j, best_d = np.full(R, math.inf), np.zeros((R, n, n))
-    best_res, iters = np.full((R, 2), math.nan), np.zeros(R, dtype=int)
     # An inf cell would turn to NaN in centring; checked first, so that
     # no arithmetic runs on non-finite data.
     why = "" if np.isfinite(ds.X).all() else "the data hold a NaN or infinite value"
@@ -450,27 +494,19 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
             why = "the data's second moments overflow"
         del X  # from here on the data enter only through G and Sigma
     if why:
-        records = _records(controls.seed, best_j, best_res, iters, np.zeros(R), why)
+        records = _records(controls.seed, np.full(R, math.inf), np.full((R, 2), math.nan),
+                           np.zeros(R, dtype=int), np.zeros(R), why)
         raise SolverAbort(f"every restart aborted: {why}", records)
     hp_res = replace(hp, eps1=eps[0], eps2=eps[1])
-    tau_eff = min(hp_res.tau, n)
     ws = _Workspace(G, Sigma, np.diag(Sigma).copy(), hp_res)
 
     t_start = time.perf_counter()
     seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
     D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
-    with _fork._runner(R // _MIN_BLOCK, ws, blas=True) as (workers, run):
-        for _ in range(hp_res.iterations):
-            parts = list(run(_sqp, [(block, controls) for block in np.array_split(D, workers)]))
-            iters += [it for _, its in parts for it in its]
-            D = row_threshold(np.concatenate([Z for Z, _ in parts]), tau_eff)
-            f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
-            # as objective() at REFERENCE_WEIGHT; np.maximum keeps a NaN
-            # residual in the score, where Python's max(0.0, nan) is 0.0
-            h = np.maximum(c, 0.0)
-            j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
-            better = np.isfinite(j) & (j < best_j)
-            best_j[better], best_d[better], best_res[better] = j[better], D[better], c[better] + ws.eps
+    with _fork._runner(R, ws, blas=True) as (workers, run):
+        blocks = [(D0, min(hp_res.tau, n), hp_res.iterations, controls)
+                  for D0 in np.array_split(D, workers)]
+        best_j, best_d, best_res, iters = (np.concatenate(p) for p in zip(*run(_restarts, blocks)))
     wall_ms = (time.perf_counter() - t_start) * 1000.0
 
     total = iters.sum()

@@ -5,9 +5,11 @@ over every row-sparse support pattern with a general-purpose
 derivative-free optimizer, giving a solver-independent answer on tiny
 instances. Keep n at 2 or 3: the support count grows combinatorially.
 The row-thresholding reference works one row at a time, as the stacked
-solver.row_threshold must agree with it bit for bit, and the doubling
-line search starts every member's search at a width of one, as the
-solver's windowed search must agree with it bit for bit. The analytic
+solver.row_threshold must agree with it bit for bit; the doubling line
+search starts every member's search at a width of one, and the
+round-by-round restart loop waits for every restart's solve before any
+restart's next round, as the solver's windowed search and its
+restarts must agree with them bit for bit. The analytic
 gradient of the X-form objective, the induced covariance and the
 closed-form variances of a spec are references the tests check the
 package against.
@@ -21,7 +23,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import minimize
 
-from slcd import Hyperparams, ScmSpec, SolverControls, resolve_epsilons
+from slcd import Dataset, Hyperparams, ScmSpec, SolverControls, center, resolve_epsilons, row_threshold
 from slcd.objective import _covariance_residual, _reconstruction_residual, _Workspace, objective
 from slcd.scm_core import _matrix_entries
 from slcd.solver import _ARMIJO_C, _STEPS, REFERENCE_WEIGHT, _sqp
@@ -99,13 +101,63 @@ def solve_relaxed(D_init, X, Sigma, sigma_diag, hp: Hyperparams) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     eps1, eps2 = resolve_epsilons(hp, X, Sigma)
     ws = _Workspace(X @ X.T, Sigma, sigma_diag, replace(hp, eps1=eps1, eps2=eps2))
-    D = _sqp(ws, D_init[None], SolverControls())[0][0]
+    D = sqp_once(ws, D_init[None], SolverControls())[0][0]
     mu = REFERENCE_WEIGHT
     j_out = objective(D, X, Sigma, sigma_diag, hp, mu, mu).total
     j_in = objective(D_init, X, Sigma, sigma_diag, hp, mu, mu).total
     if not np.isfinite(j_out) or j_out > j_in:
         D = D_init.copy()
     return D
+
+
+def sqp_once(ws: _Workspace, D0, controls: SolverControls) -> tuple[np.ndarray, list[int]]:
+    """One solve from each matrix of the (k, n, n) stack D0 on one
+    lockstep stack (solver._sqp, no member solving again): the (k, n, n)
+    final iterates and the SQP iterations each member ran."""
+    Z, iters = np.array(D0, dtype=float), [0] * len(D0)
+
+    def finish(members, iterates, its):
+        Z[members] = iterates.reshape(-1, *Z.shape[1:])
+        for i, it in zip(members.tolist(), its):
+            iters[i] = it
+        return members[:0], iterates[:0]
+
+    _sqp(ws, D0, controls, finish)
+    return Z, iters
+
+
+def slcd_by_rounds(X, hp: Hyperparams, controls: SolverControls):
+    """The reference for slcd()'s rounds, with a barrier after each:
+    every restart's solve of a round (sqp_once on the whole stack) ends
+    before any restart's next round starts, and then one row_threshold
+    call and one evaluation threshold and score the whole stack. slcd()
+    instead starts a restart's next round as soon as its own solve stops;
+    a restart's path is the same either way. Returns D_opt, J_min and,
+    per restart, the best score (inf when none was finite), its (recon,
+    cov) residuals and the SQP iterations of each round, a (rounds, R)
+    array."""
+    X = center(Dataset(X=X)).X
+    n, m = X.shape
+    G = X @ X.T
+    Sigma = G / m
+    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
+    hp = replace(hp, eps1=eps1, eps2=eps2)
+    ws = _Workspace(G, Sigma, np.diag(Sigma).copy(), hp)
+    R = hp.restarts
+    seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
+    D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
+    best_j, best_d, best_res, per_round = np.full(R, math.inf), np.zeros((R, n, n)), np.full((R, 2), math.nan), []
+    for _ in range(hp.iterations):
+        Z, its = sqp_once(ws, D, controls)
+        per_round.append(its)
+        D = row_threshold(Z, min(hp.tau, n))
+        f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
+        h = np.maximum(c, 0.0)
+        j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
+        better = np.isfinite(j) & (j < best_j)
+        best_j[better], best_d[better], best_res[better] = j[better], D[better], c[better] + ws.eps
+    win = int(np.argmin(best_j))
+    return best_d[win], float(best_j[win]), best_j, best_res, np.array(per_round)
 
 
 def row_threshold_loop(D, tau: int) -> np.ndarray:

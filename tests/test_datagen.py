@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -72,6 +73,25 @@ def test_sample_shapes() -> None:
 def test_sample_rejects_m_zero() -> None:
     with pytest.raises(ValueError):
         sample(builtin_spec(1), 0, 0)
+
+
+@pytest.mark.parametrize("m, seed, message", [
+    (5, 1.7, "seed must be an integer, got 1.7"),
+    (5, True, "seed must be an integer, got True"),
+    (5, "1", "seed must be an integer, got '1'"),
+    (5, -1, "seed must be non-negative, got -1"),
+    (2.5, 1, "m must be an integer, got 2.5"),
+])
+def test_sample_rejects_a_non_integer_or_negative_seed_or_count(m, seed, message) -> None:
+    """A seed or count that is not an integer is an error, as in
+    SolverControls, rather than truncated to another seed's data."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample(builtin_spec(1), m, seed)
+
+
+def test_sample_accepts_numpy_integers() -> None:
+    assert sample(builtin_spec(1), np.int64(5), np.int64(1)).X.tobytes() == \
+        sample(builtin_spec(1), 5, 1).X.tobytes()
 
 
 def test_dependent_columns_hold_exactly() -> None:

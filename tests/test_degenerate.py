@@ -3,11 +3,10 @@ and `slcd discover` exits 0, 3 or 4, on data with a constant row, a
 duplicated variable, fewer samples than variables, two samples, values
 scaled by 1e6, 1e-6 or 1e160, and all zeros. Each case is run with one
 usable CPU, where slcd() solves in the calling process, and with two,
-where it solves its 3 restarts on a pool of two (blocks of 2 and 1, the
-block minimum lowered to 1): both end the same way."""
+where it solves its 3 restarts on a pool of two (blocks of 2 and 1):
+both end the same way."""
 from __future__ import annotations
 
-import contextlib
 import json
 import warnings
 from unittest import mock
@@ -15,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from slcd import Hyperparams, SolverAbort, _fork, builtin_spec, sample, slcd, solver
+from slcd import Hyperparams, SolverAbort, _fork, builtin_spec, sample, slcd
 from slcd.cli import main
 from conftest import without_wall
 
@@ -42,13 +41,9 @@ OVERFLOWING = _BASE * 1e60
 _CPUS = (1, 2)
 
 
-@contextlib.contextmanager
 def _cpus(cpus: int):
-    """cpus usable CPUs, and worker processes allowed a block of one
-    restart."""
-    with mock.patch.object(_fork, "_usable_cpus", return_value=cpus), \
-            mock.patch.object(solver, "_MIN_BLOCK", 1):
-        yield
+    """cpus usable CPUs, while the context lasts."""
+    return mock.patch.object(_fork, "_usable_cpus", return_value=cpus)
 
 
 def _slcd_end(X, cpus: int):

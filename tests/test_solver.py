@@ -1,6 +1,7 @@
 """Multi-restart solve plus row thresholding."""
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import signal
@@ -33,9 +34,10 @@ from slcd import (
 )
 from slcd import _csvio, _fork, solver
 from slcd.objective import _residuals, _smoothed_rank, _smoothed_trace, _Workspace, objective
-from slcd.solver import REFERENCE_WEIGHT, _STEPS, _line_search, _qp_solve, _sqp
+from slcd.solver import REFERENCE_WEIGHT, _STEPS, _line_search, _qp_solve
 from conftest import PAIR_SUM_ALIAS, without_wall
-from oracle_utils import line_search_doubling, objective_of, row_threshold_loop, solve_relaxed
+from oracle_utils import (line_search_doubling, objective_of, row_threshold_loop, slcd_by_rounds,
+                          solve_relaxed, sqp_once)
 
 
 # ---------------------------------------------------------------- controls
@@ -248,36 +250,56 @@ def test_slcd_accepts_raw_arrays(ds2_data, fast_hp) -> None:
     np.testing.assert_array_equal(from_dataset.D_opt, from_array.D_opt)
 
 
-def test_slcd_reports_reference_objective(ds2_data, fast_hp, monkeypatch) -> None:
-    """J_min and each restart's residuals, computed on the Gram-matrix
-    core, agree with the public X-form objective() and _residuals()."""
-    candidates = []
+def test_slcd_reports_reference_objective(ds2_data, fast_hp, usable_cpus, monkeypatch) -> None:
+    """Every candidate that slcd() scores on the Gram-matrix core scores
+    as the X-form objective() at REFERENCE_WEIGHT, with the residuals of
+    _residuals(); each record holds one of them, and J_min is the least."""
+    scored = []
+    score = solver._score
 
-    def recording_threshold(D, tau):
-        out = row_threshold(D, tau)
-        candidates.append(out)
-        return out
+    def recording_score(ws, D):
+        j, res = score(ws, D)
+        scored.extend(zip(D, j.tolist(), res.tolist()))
+        return j, res
 
-    monkeypatch.setattr(solver, "row_threshold", recording_threshold)
+    usable_cpus(1)  # scored in this process
+    monkeypatch.setattr(solver, "_score", recording_score)
     result = slcd(ds2_data, fast_hp)
-    # one call per round, on the (R, n, n) stack of all restarts
-    R = fast_hp.restarts
-    assert [c.shape for c in candidates] == [(R, 4, 4)] * fast_hp.iterations
+    assert len(scored) == fast_hp.restarts * fast_hp.iterations
     ds = center(ds2_data)
     Sigma, sd = sample_covariance(ds)
-    hp = result.hp
+    for D, j, res in scored:
+        assert j == pytest.approx(
+            objective(D, ds.X, Sigma, sd, result.hp, REFERENCE_WEIGHT, REFERENCE_WEIGHT).total,
+            rel=1e-9)
+        assert res == pytest.approx(_residuals(D, ds.X, Sigma, sd), rel=1e-9)
+    residuals = {j: tuple(res) for _, j, res in scored}
+    for rec in result.restarts:
+        assert (rec.recon_residual, rec.cov_residual) == residuals[rec.objective]
+    assert result.J_min == min(residuals)
 
-    def reference(D) -> float:
-        return objective(D, ds.X, Sigma, sd, hp, REFERENCE_WEIGHT, REFERENCE_WEIGHT).total
 
-    assert result.J_min == pytest.approx(reference(result.D_opt), rel=1e-9)
-    for r, rec in enumerate(result.restarts):
-        # restart r's candidates, one per round; its record holds the best
-        best = min([c[r] for c in candidates], key=lambda D: abs(reference(D) - rec.objective))
-        assert rec.objective == pytest.approx(reference(best), rel=1e-9)
-        recon, cov = _residuals(best, ds.X, Sigma, sd)
-        assert rec.recon_residual == pytest.approx(recon, rel=1e-9)
-        assert rec.cov_residual == pytest.approx(cov, rel=1e-9)
+@pytest.mark.parametrize("dataset", [1, 2, 3, 4, 5])
+def test_slcd_matches_round_by_round_reference(dataset, usable_cpus) -> None:
+    """slcd() starts a restart's next round as soon as its own solve
+    stops; the reference waits for every restart's solve after each
+    round. On one process and on two, they give the same bits. In a
+    round before the last, the restarts' solves stop after different
+    numbers of iterations (on most datasets some at the cap of 300), so
+    a restart rejoins the stack while others run on."""
+    data = sample(builtin_spec(dataset), 300, 0)
+    hp, ctl = Hyperparams(restarts=3, iterations=3), SolverControls(max_inner_steps=300)
+    D_opt, J_min, best_j, best_res, per_round = slcd_by_rounds(data.X, hp, ctl)
+    assert any(min(its) < max(its) for its in per_round[:-1].tolist())
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        result = slcd(data, hp, ctl)
+        assert result.D_opt.tobytes() == D_opt.tobytes() and result.J_min == J_min
+        assert [r.iterations for r in result.restarts] == per_round.sum(axis=0).tolist()
+        np.testing.assert_array_equal([r.objective for r in result.restarts],
+                                      np.where(best_j < math.inf, best_j, math.nan))
+        np.testing.assert_array_equal(
+            [(r.recon_residual, r.cov_residual) for r in result.restarts], best_res)
 
 
 # ------------------------------------------------------------- objective_of
@@ -523,14 +545,14 @@ def test_sqp_stack_members_independent() -> None:
     ws = _Workspace(ds.X @ ds.X.T, Sigma, sd, hp)
     starts = np.random.default_rng(3).uniform(-1, 1, (6, 4, 4))
     ctl = SolverControls(max_inner_steps=150)
-    D, its = _sqp(ws, starts, ctl)
+    D, its = sqp_once(ws, starts, ctl)
     assert D.shape == starts.shape and len(its) == 6 and min(its) > 0
     for i in range(6):
-        Di, iti = _sqp(ws, starts[i:i + 1], ctl)
+        Di, iti = sqp_once(ws, starts[i:i + 1], ctl)
         assert iti == [its[i]]
         assert Di[0].tobytes() == D[i].tobytes()
     perm = [4, 1, 5, 0, 3, 2]
-    Dp, itp = _sqp(ws, starts[perm], ctl)
+    Dp, itp = sqp_once(ws, starts[perm], ctl)
     assert itp == [its[i] for i in perm]
     assert Dp.tobytes() == D[perm].tobytes()
 
@@ -545,7 +567,7 @@ def test_sqp_stops_where_no_qp_step_exists_at_identity() -> None:
     with np.errstate(all="ignore"):
         _, c, J = ws.evaluate(starts.reshape(4, -1))
         assert _qp_solve(np.tile(np.eye(16), (4, 1, 1)), J, c.tolist())[1] == [None] * 4
-        D, its = _sqp(ws, starts, SolverControls())
+        D, its = sqp_once(ws, starts, SolverControls())
     assert its == [1] * 4
     assert D.tobytes() == starts.tobytes()
 
@@ -555,57 +577,70 @@ def test_sqp_matches_doubling_search_from_width_one(monkeypatch) -> None:
     ws = _Workspace(ds.X @ ds.X.T, Sigma, sd, hp)
     starts = np.random.default_rng(5).uniform(-1, 1, (6, 4, 4))
     ctl = SolverControls(max_inner_steps=150)
-    D, its = _sqp(ws, starts, ctl)
+    D, its = sqp_once(ws, starts, ctl)
     monkeypatch.setattr(solver, "_line_search", line_search_doubling)
-    D_ref, its_ref = _sqp(ws, starts, ctl)
+    D_ref, its_ref = sqp_once(ws, starts, ctl)
     assert its == its_ref and min(its) > 0
     assert D.tobytes() == D_ref.tobytes()
 
 
-def test_slcd_restart_records_independent_of_stack_size(ds2_data, monkeypatch) -> None:
-    calls = []
-
-    def recording_threshold(D, tau):
-        out = row_threshold(D, tau)
-        calls.append(out)
-        return out
-
-    monkeypatch.setattr(solver, "row_threshold", recording_threshold)
+def test_slcd_restart_records_independent_of_stack_size(ds2_data, usable_cpus) -> None:
+    """On one process, a restart's record is the same in a stack of 3
+    restarts as in one of 6, where others stop and rejoin at other
+    times."""
+    usable_cpus(1)
     small = slcd(ds2_data, Hyperparams(restarts=3))
-    small_calls, calls[:] = list(calls), []
     large = slcd(ds2_data, Hyperparams(restarts=6))
-    # one call per round on the stack of all restarts, in index order
-    rounds = Hyperparams().iterations
-    assert len(small_calls) == rounds and len(calls) == rounds
-    for a, b in zip(small_calls, calls):
-        assert a.shape == (3, 4, 4) and b.shape == (6, 4, 4)
-        assert a.tobytes() == b[:3].tobytes()
-    for a, b in zip(small.restarts, large.restarts[:3]):
-        assert (a.objective, a.iterations, a.recon_residual) == (
-            b.objective, b.iterations, b.recon_residual)
+    assert without_wall(small.restarts) == without_wall(large.restarts[:3])
 
 
 @pytest.mark.parametrize("restarts", [20, 11, 3, 1])
-def test_slcd_on_two_processes_matches_one(ds2_data, usable_cpus, restarts) -> None:
-    """With two usable CPUs the rounds are solved on a pool, in blocks of
-    restarts that are uneven at 11, and in this process below two blocks
-    of _MIN_BLOCK: D_opt, J_min and every record but wall_ms are the bits
-    of a one-CPU run."""
+def test_slcd_on_two_processes_matches_one(ds2_data, usable_cpus, monkeypatch, restarts) -> None:
+    """With two usable CPUs the restarts are solved on a pool of two, in
+    blocks that are uneven at 11 and 3, and in this process at 1: D_opt,
+    J_min and every record but wall_ms are the bits of a one-CPU run.
+    Either way, one map of _restarts carries every restart through every
+    round."""
+    runner, maps = _fork._runner, []
+
+    @contextlib.contextmanager
+    def counting_runner(*args, **kwargs):
+        with runner(*args, **kwargs) as (workers, run):
+            def counted(fn, tasks):
+                maps.append(fn)
+                return run(fn, tasks)
+            yield workers, counted
+
+    monkeypatch.setattr(_fork, "_runner", counting_runner)
     hp = Hyperparams(restarts=restarts)
     runs = {}
     for cpus in (1, 2):
         pool = usable_cpus(cpus)
+        maps.clear()
         runs[cpus] = slcd(ds2_data, hp)
-        assert pool.call_count == (cpus == 2 and restarts >= 2 * solver._MIN_BLOCK
-                                   and _fork._blas_forks_safely())
+        assert pool.call_count == (cpus == 2 and restarts >= 2 and _fork._blas_forks_safely())
+        assert maps == [solver._restarts]
     one, two = runs[1], runs[2]
     assert two.D_opt.tobytes() == one.D_opt.tobytes()
     assert two.J_min == one.J_min
     assert without_wall(two.restarts) == without_wall(one.restarts)
 
 
-def _killed_sqp(ws, D, controls):
-    """An _sqp whose process is killed, as the kernel's OOM killer would."""
+def test_slcd_runs_no_hook_on_row_threshold(ds2_data, usable_cpus, monkeypatch) -> None:
+    """A wrapper bound to solver.row_threshold in the calling process, as
+    a tracer binds one, runs neither there nor in the forked workers,
+    which inherit the binding: slcd() thresholds through its own helper."""
+    def hook(D, tau):
+        raise AssertionError("slcd() ran the rebound row_threshold")
+
+    monkeypatch.setattr(solver, "row_threshold", hook)
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        slcd(ds2_data, Hyperparams(restarts=2, iterations=2))
+
+
+def _killed_restarts(ws, D0, tau, rounds, controls):
+    """A _restarts whose process is killed, as the kernel's OOM killer would."""
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -619,12 +654,12 @@ def test_dead_worker_fails_the_call(ds2_data, usable_cpus, monkeypatch) -> None:
 
     usable_cpus(2)
     monkeypatch.setattr(_fork, "_blas_forks_safely", lambda: True)
-    monkeypatch.setattr(solver, "_sqp", _killed_sqp)
+    monkeypatch.setattr(solver, "_restarts", _killed_restarts)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
         with pytest.raises(BrokenProcessPool):
-            slcd(ds2_data, Hyperparams(restarts=2 * solver._MIN_BLOCK, iterations=1))
+            slcd(ds2_data, Hyperparams(restarts=2, iterations=1))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
