@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef, _require_integer
+from .scm_core import Gaussian, ScmSpec, Uniform, VariableDef, _column_blocks, _require_integer
 
 __all__ = [
     "Dataset",
@@ -176,16 +176,16 @@ def sample(spec: ScmSpec, m: int, seed: int) -> Dataset:
     return Dataset(X=X)
 
 
-def _centred(X: np.ndarray) -> np.ndarray:
-    """X less its row means, or X itself when every row mean is at most
+def _row_means(X: np.ndarray) -> np.ndarray | None:
+    """X's (n, 1) row means, or None when every row mean is at most
     _CENTRED_TOL times the row's largest magnitude, as after centring."""
     mean = X.mean(axis=1, keepdims=True)
     # row by row, so that the first uncentred row ends the scan; a row's
     # largest magnitude comes from its extremes, without an |X| copy
     for row, mu in zip(X, mean[:, 0]):
         if not abs(mu) <= _CENTRED_TOL * max(row.max(), -row.min()):
-            return X - mean
-    return X
+            return mean
+    return None
 
 
 def center(ds: Dataset) -> Dataset:
@@ -194,21 +194,28 @@ def center(ds: Dataset) -> Dataset:
     magnitude, as it is after center(); other data are centred."""
     if ds.m < 2:
         raise ValueError("centering needs at least 2 samples")
-    X = _centred(ds.X)
-    if X is ds.X:
+    mean = _row_means(ds.X)
+    if mean is None:
         return ds
+    X = ds.X - mean
     X.flags.writeable = False   # the Dataset keeps it without a copy
     return Dataset(X=X)
 
 
 def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Sample covariance Sigma = (1/m) Xc Xc^T of the data centred as
-    center() centres them, and its diagonal. The normalizer is 1/m, not
-    1/(m-1)."""
+    center() centres them, and its diagonal, summed over column blocks
+    of the data. The normalizer is 1/m, not 1/(m-1)."""
     if ds.m < 2:
         raise ValueError("covariance needs at least 2 samples")
-    Xc = _centred(ds.X)
-    Sigma = (Xc @ Xc.T) / ds.m
+    mean = _row_means(ds.X)
+    S = None
+    for Xb in _column_blocks(ds.X):
+        # the loop's rebinding of Xb frees each centred copy before the next
+        if mean is not None:
+            Xb = Xb - mean
+        S = Xb @ Xb.T if S is None else np.add(S, Xb @ Xb.T, out=S)
+    Sigma = S / ds.m
     return Sigma, np.diag(Sigma).copy()
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scm_core import _matrix_entries, _require_finite, _require_integer
+from .scm_core import _BLOCK, _column_blocks, _matrix_entries, _require_finite, _require_integer
 
 __all__ = [
     "EPS_REL",
@@ -145,17 +145,22 @@ def _smoothed_trace(D, sigma: float) -> float:
 
 
 def _reconstruction_residual(D, X) -> float:
-    """||X - DX||_F^2."""
+    """||X - DX||_F^2, summed over column blocks of X."""
     D = _matrix_entries(D)
     X = np.asarray(X, dtype=float)
     n = D.shape[0]
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"X has shape {X.shape}, D is {n}x{n}")
-    # one n-by-m temporary, reused for the residual and its square
-    E = D @ X
-    np.subtract(X, E, out=E)
-    np.multiply(E, E, out=E)
-    return float(np.sum(E))
+    # one n-by-_BLOCK temporary, reused for each block's residual and its square
+    buf = np.empty(n * min(X.shape[1], _BLOCK))
+    total = 0.0
+    for Xb in _column_blocks(X):
+        E = buf[:Xb.size].reshape(Xb.shape)
+        np.matmul(D, Xb, out=E)
+        np.subtract(Xb, E, out=E)
+        np.multiply(E, E, out=E)
+        total += float(np.sum(E))
+    return total
 
 
 def _covariance_residual(D, Sigma, sigma_diag) -> np.ndarray:

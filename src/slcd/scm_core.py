@@ -49,6 +49,16 @@ def _require_integer(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+# Passes over the samples take them this many at a time, so that their
+# temporaries hold n * _BLOCK floats (3.7 MB at n = 7) whatever m is.
+_BLOCK = 65536
+
+
+def _column_blocks(X: np.ndarray):
+    """Views of the consecutive blocks of at most _BLOCK columns of X."""
+    return (X[:, j:j + _BLOCK] for j in range(0, X.shape[1], _BLOCK))
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Uniform distribution on the open interval (a, b)."""

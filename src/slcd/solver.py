@@ -433,7 +433,9 @@ def _restarts(ws: _Workspace, D0: np.ndarray, tau: int, rounds: int, controls: S
         go = done[members] < rounds
         return members[go], D[go].reshape(-1, ws.n * ws.n)
 
-    _sqp(ws, D0, controls, finish)
+    # each overflow fails a finiteness test: start, active set, merit or score
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sqp(ws, D0, controls, finish)
     return best_j, best_d, best_res, iters
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: small benchmark samples, the non-uniqueness
 fixture model, a hypothesis profile sized for CI, a chosen usable CPU
-count for the worker pools, and a check that no test leaves a child
-process behind."""
+count for the worker pools, a check that no test leaves a child
+process behind, and the peak memory a call allocates."""
 from __future__ import annotations
 
 import sys
@@ -96,6 +96,20 @@ def pair_sum_spec() -> ScmSpec:
 @pytest.fixture(scope="session")
 def pair_sum_data(pair_sum_spec) -> Dataset:
     return sample(pair_sum_spec, 1000, 0)
+
+
+def peak_bytes(fn):
+    """fn()'s result and the peak of the memory, in bytes, that tracemalloc
+    traces while it runs (numpy's array buffers included)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def without_wall(records) -> list[dict]:

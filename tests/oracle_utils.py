@@ -9,10 +9,12 @@ solver.row_threshold must agree with it bit for bit; the doubling line
 search starts every member's search at a width of one, and the
 round-by-round restart loop waits for every restart's solve before any
 restart's next round, as the solver's windowed search and its
-restarts must agree with them bit for bit. The analytic
-gradient of the X-form objective, the induced covariance and the
-closed-form variances of a spec are references the tests check the
-package against.
+restarts must agree with them bit for bit. The one-shot reconstruction
+residual and sample covariance, each through one n-by-m temporary, are
+what the passes over column blocks must agree with bit for bit up to
+one block of samples. The analytic gradient of the X-form objective,
+the induced covariance and the closed-form variances of a spec are
+references the tests check the package against.
 """
 from __future__ import annotations
 
@@ -266,3 +268,18 @@ def analytic_variances(spec: ScmSpec) -> np.ndarray:
         else:
             var[i] = sum(c * c * var[j] for j, c in v.terms)
     return var
+
+
+def reconstruction_residual_once(D, X) -> float:
+    """||X - DX||_F^2 through one n-by-m temporary."""
+    X = np.asarray(X, dtype=float)
+    E = _matrix_entries(D) @ X
+    np.subtract(X, E, out=E)
+    np.multiply(E, E, out=E)
+    return float(np.sum(E))
+
+
+def sample_covariance_once(ds: Dataset) -> np.ndarray:
+    """(1/m) Xc Xc^T on the whole centred copy Xc that center() makes."""
+    Xc = center(ds).X
+    return (Xc @ Xc.T) / ds.m

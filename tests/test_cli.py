@@ -980,21 +980,39 @@ def test_unwritable_output_is_io_error(ds2_csv, tmp_path, capsys, argv, path) ->
     assert not list(tmp_path.glob("repro_*.json"))
 
 
-def test_console_entry_point_exit_code(tmp_path) -> None:
-    """Through `python -m slcd.cli`, as a shell runs it, an unreadable
-    input gives process status 3, not the 1 of an uncaught exception."""
+def _console(*argv: str, python_flags=()):
+    """`python [python_flags] -m slcd.cli argv`, as a shell runs it."""
     import os
     import subprocess
     import sys
 
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "slcd.cli", "discover",
-                           "--data", str(tmp_path / "absent.csv")],
+    return subprocess.run([sys.executable, *python_flags, "-m", "slcd.cli", *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=120)
+
+
+def test_console_entry_point_exit_code(tmp_path) -> None:
+    """Through `python -m slcd.cli`, an unreadable input gives process
+    status 3, not the 1 of an uncaught exception."""
+    done = _console("discover", "--data", str(tmp_path / "absent.csv"))
     assert done.returncode == 3
     assert "cannot read dataset" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_overflowing_solve_warns_nothing(ds2_csv, tmp_path) -> None:
+    """A trace weight that overflows the solve's arithmetic takes the
+    finiteness tests' path silently: with RuntimeWarnings as errors the
+    run exits 0 and writes what it writes without them."""
+    written = []
+    for flags in ((), ("-W", "error::RuntimeWarning")):
+        out = tmp_path / "result.json"
+        done = _console("discover", "--data", ds2_csv, "--lambda", "1e300", "--restarts", "2",
+                        "--iterations", "1", "--out", str(out), python_flags=flags)
+        assert (done.returncode, done.stderr) == (0, "")
+        written.append(strip_walls(json.loads(out.read_text())))
+    assert written[0] == written[1]
 
 
 # ------------------------------------------------------------ fuzzed settings

@@ -29,7 +29,9 @@ from slcd import (
     slcd,
 )
 from slcd import _csvio
-from oracle_utils import analytic_variances, induced_covariance
+from slcd.scm_core import _BLOCK
+from conftest import peak_bytes
+from oracle_utils import analytic_variances, induced_covariance, sample_covariance_once
 
 UNIFORM_VARIANCE = 25.0 / 12.0
 
@@ -178,12 +180,22 @@ def test_sample_covariance_uses_1_over_m() -> None:
 
 
 def test_sample_covariance_centres_as_center_does() -> None:
-    # raw data are centred, data centred already are left as they are
-    raw = sample(builtin_spec(3), 300, 1)
+    # raw data are centred, data centred already are left as they are;
+    # up to one block of samples, in the bytes of the one-shot formula
+    for m in (2, 300, 1000, _BLOCK):
+        raw = sample(builtin_spec(3), m, 1)
+        for ds in (raw, center(raw)):
+            Sigma, _ = sample_covariance(ds)
+            assert Sigma.tobytes() == sample_covariance_once(ds).tobytes(), m
+
+
+@pytest.mark.parametrize("m", [_BLOCK + 1, 3 * _BLOCK + 5])
+def test_sample_covariance_over_a_partial_last_block(m) -> None:
+    raw = sample(builtin_spec(5), m, 1)
     for ds in (raw, center(raw)):
-        Xc = center(ds).X
-        Sigma, _ = sample_covariance(ds)
-        assert Sigma.tobytes() == ((Xc @ Xc.T) / ds.m).tobytes()
+        Sigma, sd = sample_covariance(ds)
+        np.testing.assert_allclose(Sigma, sample_covariance_once(ds), rtol=1e-12, atol=0)
+        assert sd.tobytes() == np.diag(Sigma).tobytes()
 
 
 def test_sample_covariance_near_induced() -> None:
@@ -363,15 +375,8 @@ def test_dataset_keeps_read_only_arrays_and_copies_others(tmp_path) -> None:
 
 
 def test_center_allocates_the_result_once() -> None:
-    import tracemalloc
-
     ds = sample(builtin_spec(5), 100_000, 0)
-    tracemalloc.start()
-    try:
-        centred = center(ds)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    centred, peak = peak_bytes(lambda: center(ds))
     assert centred.X is not ds.X
     assert peak <= 1.1 * centred.X.nbytes
 

@@ -12,15 +12,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slcd import (
+    Dataset,
     Hyperparams,
     builtin_spec,
     center,
+    metric_bundle,
+    reconstruction_error,
     resolve_epsilons,
     sample,
     sample_covariance,
 )
 from slcd.objective import EPS_REL, _residuals, _smoothed_rank, _smoothed_trace, objective
-from oracle_utils import analytic_variances, gradient, induced_covariance
+from slcd.scm_core import _BLOCK
+from conftest import peak_bytes
+from oracle_utils import (analytic_variances, gradient, induced_covariance,
+                          reconstruction_residual_once)
 
 
 def finite_difference(D, X, Sigma, sd, hp, mu1, mu2, h=1e-5) -> np.ndarray:
@@ -287,3 +293,72 @@ def test_gradient_rejects_non_finite() -> None:
     D = np.full((3, 3), np.nan)
     with pytest.raises((ValueError, np.linalg.LinAlgError)):
         gradient(D, X, Sigma, sd, Hyperparams(), 1.0, 1.0)
+
+
+# -------------------------------------------- passes over column blocks
+
+def _dense_case(m: int, centred: bool = False):
+    """Dataset 5 at m samples, raw or centred, its covariance and its
+    diagonal, and a dense estimate near the truth."""
+    ds = sample(builtin_spec(5), m, 1)
+    if centred:
+        ds = center(ds)
+    D = builtin_spec(5).structural_matrix().entries
+    D = D + 0.01 * np.random.default_rng(m).standard_normal(D.shape)
+    return (D, ds, *sample_covariance(ds))
+
+
+def _recon_residuals(D, ds, Sigma, sd) -> tuple[float, float]:
+    """objective()'s reconstruction residual and reconstruction_error,
+    both of the same ||X - DX||_F^2."""
+    got = objective(D, ds.X, Sigma, sd, Hyperparams(), 1e3, 1e3).recon_residual
+    return got, reconstruction_error(D, ds.X)
+
+
+@pytest.mark.parametrize("centred", [False, True], ids=["raw", "centred"])
+@pytest.mark.parametrize("m", [2, 300, _BLOCK])
+def test_residual_over_one_block_is_the_one_shot_bytes(m, centred) -> None:
+    D, ds, Sigma, sd = _dense_case(m, centred)
+    ref = reconstruction_residual_once(D, ds.X)
+    got, error = _recon_residuals(D, ds, Sigma, sd)
+    assert got.hex() == ref.hex()
+    assert error.hex() == (ref / ds.X.size).hex()
+
+
+@pytest.mark.parametrize("centred", [False, True], ids=["raw", "centred"])
+@pytest.mark.parametrize("m", [_BLOCK + 1, 3 * _BLOCK + 5])
+def test_residual_over_a_partial_last_block(m, centred) -> None:
+    D, ds, Sigma, sd = _dense_case(m, centred)
+    ref = reconstruction_residual_once(D, ds.X)
+    got, error = _recon_residuals(D, ds, Sigma, sd)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+    assert error == pytest.approx(ref / ds.X.size, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m, col", [(300, 7), (3 * _BLOCK + 5, 2 * _BLOCK + 3)],
+                         ids=["first-block", "third-block"])
+def test_nan_in_the_data_gives_a_nan_residual(m, col) -> None:
+    D, ds, Sigma, sd = _dense_case(m)
+    X = ds.X.copy()
+    X[2, col] = np.nan
+    got, error = _recon_residuals(D, Dataset(X), Sigma, sd)
+    assert np.isnan(got) and np.isnan(error)
+
+
+def _one_block_bound(ds) -> float:
+    """1.1 times the bytes of one n-by-_BLOCK block: 4.0 MB at n = 7,
+    where the n-by-m temporary of 7 x 200 000 samples is 11.2 MB."""
+    return 1.1 * ds.n * _BLOCK * ds.X.itemsize
+
+
+def test_objective_allocates_one_block() -> None:
+    D, ds, Sigma, sd = _dense_case(200_000)
+    _, peak = peak_bytes(lambda: objective(D, ds.X, Sigma, sd, Hyperparams(), 1e3, 1e3))
+    assert peak <= _one_block_bound(ds)
+
+
+def test_metric_bundle_allocates_one_block() -> None:
+    D, ds, _, _ = _dense_case(200_000)
+    truth = builtin_spec(5).structural_matrix().entries
+    _, peak = peak_bytes(lambda: metric_bundle(D, ds, truth))
+    assert peak <= _one_block_bound(ds)
