@@ -50,7 +50,6 @@ from .solver import (
     RestartRecord,
     SolverAbort,
     SolverControls,
-    row_threshold,
     slcd,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "precision_recall",
     "reconstruction_error",
     "resolve_epsilons",
-    "row_threshold",
     "sample",
     "sample_covariance",
     "save_dataset",

@@ -202,21 +202,29 @@ def center(ds: Dataset) -> Dataset:
     return Dataset(X=X)
 
 
-def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariance Sigma = (1/m) Xc Xc^T of the data centred as
-    center() centres them, and its diagonal, summed over column blocks
-    of the data. The normalizer is 1/m, not 1/(m-1)."""
-    if ds.m < 2:
-        raise ValueError("covariance needs at least 2 samples")
+def _second_moments(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram matrix G = Xc Xc^T of the data centred as center()
+    centres them, Sigma = G / m and Sigma's diagonal. G is summed over
+    column blocks of the data, so the largest temporary is one block;
+    up to one block it is the single product Xc Xc^T."""
     mean = _row_means(ds.X)
-    S = None
+    G = None
     for Xb in _column_blocks(ds.X):
         # the loop's rebinding of Xb frees each centred copy before the next
         if mean is not None:
             Xb = Xb - mean
-        S = Xb @ Xb.T if S is None else np.add(S, Xb @ Xb.T, out=S)
-    Sigma = S / ds.m
-    return Sigma, np.diag(Sigma).copy()
+        G = Xb @ Xb.T if G is None else np.add(G, Xb @ Xb.T, out=G)
+    Sigma = G / ds.m
+    return G, Sigma, np.diag(Sigma).copy()
+
+
+def sample_covariance(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariance Sigma = (1/m) Xc Xc^T of the data centred as
+    center() centres them, and its diagonal (see _second_moments). The
+    normalizer is 1/m, not 1/(m-1)."""
+    if ds.m < 2:
+        raise ValueError("covariance needs at least 2 samples")
+    return _second_moments(ds)[1:]
 
 
 def save_dataset(ds: Dataset, csv_path: str) -> None:

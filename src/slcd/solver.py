@@ -1,7 +1,10 @@
 """Multi-restart recovery of the structural matrix.
 
-The data are centred and reduced once to their Gram matrix G = X X^T
-and covariance Sigma = G / m; nothing after that touches X. Each
+The data are reduced once to the Gram matrix G = Xc Xc^T of their
+centred samples Xc, summed over blocks of 65 536 samples without a
+centred copy (datagen._second_moments; up to one block this is the
+single product of earlier versions, bit for bit), and to the
+covariance Sigma = G / m; nothing after that touches X. Each
 restart starts from a random dense matrix and alternates two moves:
 solve the relaxed problem (minimize the rank/trace surrogate subject to
 the reconstruction and covariance residuals staying within their
@@ -60,16 +63,15 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import _fork
-from .datagen import _as_dataset, center
+from .datagen import _as_dataset, _second_moments
 from .objective import Hyperparams, _Workspace, resolve_epsilons
-from .scm_core import StructuralMatrix, _require_integer
+from .scm_core import StructuralMatrix, _column_blocks, _require_integer
 
 __all__ = [
     "SolverControls",
     "RestartRecord",
     "DiscoveryResult",
     "SolverAbort",
-    "row_threshold",
     "slcd",
     "REFERENCE_WEIGHT",
 ]
@@ -378,24 +380,13 @@ def _sqp(ws: _Workspace, D0: np.ndarray, controls: SolverControls, finish) -> No
 
 
 def _threshold(D: np.ndarray, tau: int) -> np.ndarray:
-    """row_threshold on a float array, unchecked. The solver's workers
-    call this, not the public name: a forked child inherits whatever
-    the calling process has bound to solver.row_threshold, such as a
-    tracer's wrapper, and must not run it."""
+    """Keep the tau largest-magnitude entries of each row of a float
+    matrix, or of every matrix in a (..., n, n) stack, zeroing the rest.
+    Ties keep the lowest column index (stable sort)."""
     keep = np.argsort(-np.abs(D), axis=-1, kind="stable")[..., :tau]
     out = np.zeros_like(D)
     np.put_along_axis(out, keep, np.take_along_axis(D, keep, axis=-1), axis=-1)
     return out
-
-
-def row_threshold(D, tau: int) -> np.ndarray:
-    """Keep the tau largest-magnitude entries of each row of a matrix, or
-    of every matrix in a (..., n, n) stack, zeroing the rest. Ties keep
-    the lowest column index (stable sort)."""
-    D = np.asarray(D, dtype=float)
-    if tau < 1:
-        raise ValueError(f"tau must be at least 1, got {tau}")
-    return _threshold(D, tau)
 
 
 def _score(ws: _Workspace, D: np.ndarray):
@@ -480,27 +471,25 @@ def slcd(data, hp: Hyperparams = Hyperparams(),
     ds = _as_dataset(data)
     if ds.m < 2:
         raise ValueError("discovery needs at least 2 samples")
-    n, m = ds.X.shape
-    R = hp.restarts
-    # An inf cell would turn to NaN in centring; checked first, so that
-    # no arithmetic runs on non-finite data.
-    why = "" if np.isfinite(ds.X).all() else "the data hold a NaN or infinite value"
+    n, R = ds.n, hp.restarts
+    # An inf cell would turn to NaN in centring; checked first, block by
+    # block as _second_moments reads them, so that no arithmetic runs on
+    # non-finite data.
+    finite = all(np.isfinite(Xb).all() for Xb in _column_blocks(ds.X))
+    why = "" if finite else "the data hold a NaN or infinite value"
     if not why:
-        X = center(ds).X
         with np.errstate(over="ignore", invalid="ignore"):  # checked on G and eps below
-            G = X @ X.T
-            Sigma = G / m
-            eps = resolve_epsilons(hp, X, Sigma)
+            G, Sigma, sd = _second_moments(ds)
+            eps = resolve_epsilons(hp, ds.X, Sigma)
         # explicit slacks pass through resolve_epsilons whatever G holds
         if not (np.isfinite(G).all() and np.isfinite(eps).all()):
             why = "the data's second moments overflow"
-        del X  # from here on the data enter only through G and Sigma
     if why:
         records = _records(controls.seed, np.full(R, math.inf), np.full((R, 2), math.nan),
                            np.zeros(R, dtype=int), np.zeros(R), why)
         raise SolverAbort(f"every restart aborted: {why}", records)
     hp_res = replace(hp, eps1=eps[0], eps2=eps[1])
-    ws = _Workspace(G, Sigma, np.diag(Sigma).copy(), hp_res)
+    ws = _Workspace(G, Sigma, sd, hp_res)
 
     t_start = time.perf_counter()
     seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)

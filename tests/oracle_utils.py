@@ -4,8 +4,11 @@ The support-enumeration oracle minimizes the exact penalized objective
 over every row-sparse support pattern with a general-purpose
 derivative-free optimizer, giving a solver-independent answer on tiny
 instances. Keep n at 2 or 3: the support count grows combinatorially.
+The refit optimum J* is exact over least-squares refits of every
+support of at most tau columns per row, at any n where their products
+are few enough to score.
 The row-thresholding reference works one row at a time, as the stacked
-solver.row_threshold must agree with it bit for bit; the doubling line
+solver._threshold must agree with it bit for bit; the doubling line
 search starts every member's search at a width of one, and the
 round-by-round restart loop waits for every restart's solve before any
 restart's next round, as the solver's windowed search and its
@@ -20,15 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 from scipy.optimize import minimize
 
-from slcd import Dataset, Hyperparams, ScmSpec, SolverControls, center, resolve_epsilons, row_threshold
+from slcd import Dataset, Hyperparams, ScmSpec, SolverControls, center, resolve_epsilons
 from slcd.objective import _covariance_residual, _reconstruction_residual, _Workspace, objective
 from slcd.scm_core import _matrix_entries
-from slcd.solver import _ARMIJO_C, _STEPS, REFERENCE_WEIGHT, _sqp
+from slcd.solver import _ARMIJO_C, _STEPS, REFERENCE_WEIGHT, _score, _sqp, _threshold
 
 
 def brute_force_best(X_raw: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -131,28 +134,22 @@ def sqp_once(ws: _Workspace, D0, controls: SolverControls) -> tuple[np.ndarray, 
 def slcd_by_rounds(X, hp: Hyperparams, controls: SolverControls):
     """The reference for slcd()'s rounds, with a barrier after each:
     every restart's solve of a round (sqp_once on the whole stack) ends
-    before any restart's next round starts, and then one row_threshold
+    before any restart's next round starts, and then one _threshold
     call and one evaluation threshold and score the whole stack. slcd()
     instead starts a restart's next round as soon as its own solve stops;
     a restart's path is the same either way. Returns D_opt, J_min and,
     per restart, the best score (inf when none was finite), its (recon,
     cov) residuals and the SQP iterations of each round, a (rounds, R)
     array."""
-    X = center(Dataset(X=X)).X
-    n, m = X.shape
-    G = X @ X.T
-    Sigma = G / m
-    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
-    hp = replace(hp, eps1=eps1, eps2=eps2)
-    ws = _Workspace(G, Sigma, np.diag(Sigma).copy(), hp)
-    R = hp.restarts
+    ws = workspace(X, hp)
+    n, R = ws.n, hp.restarts
     seeds = np.random.SeedSequence(entropy=controls.seed).spawn(R)
     D = np.array([np.random.default_rng(s).uniform(-1.0, 1.0, (n, n)) for s in seeds])
     best_j, best_d, best_res, per_round = np.full(R, math.inf), np.zeros((R, n, n)), np.full((R, 2), math.nan), []
     for _ in range(hp.iterations):
         Z, its = sqp_once(ws, D, controls)
         per_round.append(its)
-        D = row_threshold(Z, min(hp.tau, n))
+        D = _threshold(Z, min(hp.tau, n))
         f, c, _ = ws.evaluate(D.reshape(R, -1), jac=False)
         h = np.maximum(c, 0.0)
         j = f + REFERENCE_WEIGHT * h[:, 0] * h[:, 0] + REFERENCE_WEIGHT * h[:, 1] * h[:, 1]
@@ -162,8 +159,53 @@ def slcd_by_rounds(X, hp: Hyperparams, controls: SolverControls):
     return best_d[win], float(best_j[win]), best_j, best_res, np.array(per_round)
 
 
+def workspace(X, hp: Hyperparams) -> _Workspace:
+    """The solver's core on the data X centred as center() centres them,
+    G = Xc Xc^T in one product, with hp's slacks resolved."""
+    X = center(Dataset(X=X)).X
+    G = X @ X.T
+    Sigma = G / X.shape[1]
+    eps1, eps2 = resolve_epsilons(hp, X, Sigma)
+    return _Workspace(G, Sigma, np.diag(Sigma).copy(), replace(hp, eps1=eps1, eps2=eps2))
+
+
+def refit(G: np.ndarray, i: int, support) -> np.ndarray:
+    """Row i of a structural matrix refitted on the columns in support:
+    the least-squares d_S of G_SS d_S = G_Si, zero elsewhere."""
+    d = np.zeros(len(G))
+    S = list(support)
+    if S:
+        d[S] = np.linalg.lstsq(G[np.ix_(S, S)], G[S, i], rcond=None)[0]
+    return d
+
+
+def refit_optimum(ws: _Workspace, tau: int, chunk: int = 20_000) -> tuple[float, int]:
+    """J*, the least score solver._score gives a matrix whose each row i
+    is the refit of a support of at most tau columns, column i among
+    those allowed, with row residual (e_i - d)^T G (e_i - d) within
+    eps1; and how many distinct such matrices were scored. Exact over
+    supports with least-squares coefficients, not over every
+    coefficient. The products are scored chunk at a time, so memory
+    stays bounded whatever their count."""
+    G, n = ws.G, ws.n
+    rows = []
+    for i in range(n):
+        kept = {}
+        for S in (S for k in range(tau + 1) for S in combinations(range(n), k)):
+            d = refit(G, i, S)
+            e = np.eye(n)[i] - d
+            if e @ G @ e <= ws.eps[0]:
+                kept.setdefault(d.tobytes(), d)
+        rows.append(list(kept.values()))
+    best, count, products = math.inf, 0, product(*rows)
+    while block := list(islice(products, chunk)):
+        j, _ = _score(ws, np.array(block))
+        best, count = min(best, float(j.min())), count + len(block)
+    return best, count
+
+
 def row_threshold_loop(D, tau: int) -> np.ndarray:
-    """The reference for solver.row_threshold on one matrix: each row
+    """The reference for solver._threshold on one matrix: each row
     keeps its tau largest-magnitude entries, the lowest column index
     first among equal magnitudes (stable sort), one row at a time."""
     D = np.asarray(D, dtype=float)

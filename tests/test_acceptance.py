@@ -34,12 +34,16 @@ from slcd import (
 from slcd.cli import main
 from slcd.evaluation import DEFAULT_THETA
 from slcd.objective import _residuals, _smoothed_rank, objective
+from slcd.solver import _score
 from oracle_utils import (
     analytic_variances,
     brute_force_best,
     gradient,
     induced_covariance,
     objective_of,
+    refit,
+    refit_optimum,
+    workspace,
 )
 
 GATED_IDS = (2, 3, 4, 5)
@@ -216,6 +220,26 @@ def test_criterion_08_determinism(repro_first, repro_second) -> None:
     a = json.dumps(_strip_walls(repro_first), sort_keys=True)
     b = json.dumps(_strip_walls(repro_second), sort_keys=True)
     assert a == b
+
+
+@pytest.mark.parametrize("ds_id", [2, 3, 4])
+def test_winning_support_refits_to_the_exact_optimum(repro_first, ds_id) -> None:
+    """The least-squares refit of each row of the winner's theta-support
+    scores J*, the exact optimum over refitted supports of at most tau
+    columns (oracle_utils.refit_optimum), to 1e-6 relative at seed 0.
+    Dataset 5's 13 million products take over a minute to score; it
+    waits for a bound that prunes the search."""
+    rec = _records_by_id(repro_first)[ds_id]
+    assert rec["error"] == ""
+    est = np.array(rec["estimated_matrix"]["rows"], dtype=float)
+    hp = Hyperparams()
+    ws = workspace(sample(builtin_spec(ds_id), repro_first["m"], repro_first["seed"]).X, hp)
+    D = np.array([refit(ws.G, i, np.flatnonzero(np.abs(row) > DEFAULT_THETA))
+                  for i, row in enumerate(est)])
+    j_refit = float(_score(ws, D[None])[0][0])
+    j_star, _ = refit_optimum(ws, hp.tau)
+    assert j_refit == pytest.approx(j_star, rel=1e-6), (
+        f"dataset {ds_id}: refit scores {j_refit}, J* is {j_star}")
 
 
 def test_criterion_09_small_instance_oracle() -> None:

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "precision_recall",
     "reconstruction_error",
     "resolve_epsilons",
-    "row_threshold",
     "sample",
     "sample_covariance",
     "save_dataset",

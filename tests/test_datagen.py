@@ -29,6 +29,7 @@ from slcd import (
     slcd,
 )
 from slcd import _csvio
+from slcd.datagen import _second_moments
 from slcd.scm_core import _BLOCK
 from conftest import peak_bytes
 from oracle_utils import analytic_variances, induced_covariance, sample_covariance_once
@@ -195,6 +196,26 @@ def test_sample_covariance_over_a_partial_last_block(m) -> None:
     for ds in (raw, center(raw)):
         Sigma, sd = sample_covariance(ds)
         np.testing.assert_allclose(Sigma, sample_covariance_once(ds), rtol=1e-12, atol=0)
+        assert sd.tobytes() == np.diag(Sigma).tobytes()
+
+
+@pytest.mark.parametrize("m", [1000, _BLOCK, 2 * _BLOCK + 3])
+def test_second_moments_match_the_one_shot_formula(m) -> None:
+    """G, Sigma and diag(Sigma) in the bytes of the one-shot formula up to
+    one block of samples, on raw and on centred data, and within 1e-12
+    relative above it, where centred data are multiplied block by block
+    as strided views of X."""
+    raw = sample(builtin_spec(5), m, 2)
+    for ds in (raw, center(raw)):
+        G, Sigma, sd = _second_moments(ds)
+        Xc = center(ds).X
+        want_G, want_Sigma = Xc @ Xc.T, sample_covariance_once(ds)
+        if m <= _BLOCK:
+            assert G.tobytes() == want_G.tobytes()
+            assert Sigma.tobytes() == want_Sigma.tobytes()
+        else:
+            np.testing.assert_allclose(G, want_G, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(Sigma, want_Sigma, rtol=1e-12, atol=0)
         assert sd.tobytes() == np.diag(Sigma).tobytes()
 
 

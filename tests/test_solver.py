@@ -26,7 +26,6 @@ from slcd import (
     center,
     load_dataset,
     resolve_epsilons,
-    row_threshold,
     sample,
     sample_covariance,
     save_dataset,
@@ -34,8 +33,9 @@ from slcd import (
 )
 from slcd import _csvio, _fork, solver
 from slcd.objective import _residuals, _smoothed_rank, _smoothed_trace, _Workspace, objective
-from slcd.solver import REFERENCE_WEIGHT, _STEPS, _line_search, _qp_solve
-from conftest import PAIR_SUM_ALIAS, without_wall
+from slcd.scm_core import _BLOCK
+from slcd.solver import REFERENCE_WEIGHT, _STEPS, _line_search, _qp_solve, _threshold
+from conftest import PAIR_SUM_ALIAS, peak_bytes, without_wall
 from oracle_utils import (line_search_doubling, objective_of, row_threshold_loop, slcd_by_rounds,
                           solve_relaxed, sqp_once)
 
@@ -59,28 +59,29 @@ def test_controls_validation() -> None:
             SolverControls(**bad)
 
 
-# ----------------------------------------------------------- row_threshold
+# -------------------------------------------------------------- _threshold
 
 def test_row_threshold_already_sparse() -> None:
     D = np.array([[1.0, 2.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(row_threshold(D, 2), D)
+    np.testing.assert_array_equal(_threshold(D, 2), D)
 
 
 def test_row_threshold_keeps_two_largest() -> None:
     D = np.array([[0.3, 0.05, -0.4, 0.01]])
     np.testing.assert_array_equal(
-        row_threshold(D, 2), np.array([[0.3, 0.0, -0.4, 0.0]]))
+        _threshold(D, 2), np.array([[0.3, 0.0, -0.4, 0.0]]))
 
 
 def test_row_threshold_tie_keeps_lowest_columns() -> None:
     D = np.array([[1.0, -1.0, 1.0]])
     np.testing.assert_array_equal(
-        row_threshold(D, 2), np.array([[1.0, -1.0, 0.0]]))
+        _threshold(D, 2), np.array([[1.0, -1.0, 0.0]]))
 
 
 def test_row_threshold_validates_tau() -> None:
-    with pytest.raises(ValueError):
-        row_threshold(np.eye(3), 0)
+    # _threshold takes tau unchecked; Hyperparams is where tau is checked
+    with pytest.raises(ValueError, match="tau"):
+        Hyperparams(tau=0)
 
 
 @given(st.data())
@@ -95,13 +96,13 @@ def test_row_threshold_stack_matches_row_loop(data) -> None:
                                min_size=k * n * n, max_size=k * n * n))
     D = np.array([-v if flip else v for v, flip in cells]).reshape(k, n, n)
     want = np.array([row_threshold_loop(M, tau) for M in D])
-    assert row_threshold(D, tau).tobytes() == want.tobytes()
-    assert row_threshold(D[0], tau).tobytes() == want[0].tobytes()
+    assert _threshold(D, tau).tobytes() == want.tobytes()
+    assert _threshold(D[0], tau).tobytes() == want[0].tobytes()
 
 
 def test_row_threshold_rowwise_independent() -> None:
     D = np.array([[5.0, 1.0, 2.0], [0.1, 0.2, 0.3], [7.0, 0.0, 0.0]])
-    out = row_threshold(D, 1)
+    out = _threshold(D, 1)
     np.testing.assert_array_equal(
         out, np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 0.3], [7.0, 0.0, 0.0]]))
 
@@ -337,7 +338,7 @@ def test_restart_reduction_order_independent(ds2_data) -> None:
         best = math.inf
         for _ in range(2):
             D = solve_relaxed(D, ds.X, Sigma, sd, hp)
-            D = row_threshold(D, hp.tau)
+            D = _threshold(D, hp.tau)
             best = min(best, objective_of(D, ds.X, hp))
         return best
 
@@ -626,17 +627,14 @@ def test_slcd_on_two_processes_matches_one(ds2_data, usable_cpus, monkeypatch, r
     assert without_wall(two.restarts) == without_wall(one.restarts)
 
 
-def test_slcd_runs_no_hook_on_row_threshold(ds2_data, usable_cpus, monkeypatch) -> None:
-    """A wrapper bound to solver.row_threshold in the calling process, as
-    a tracer binds one, runs neither there nor in the forked workers,
-    which inherit the binding: slcd() thresholds through its own helper."""
-    def hook(D, tau):
-        raise AssertionError("slcd() ran the rebound row_threshold")
-
-    monkeypatch.setattr(solver, "row_threshold", hook)
-    for cpus in (1, 2):
-        usable_cpus(cpus)
-        slcd(ds2_data, Hyperparams(restarts=2, iterations=2))
+def test_slcd_holds_no_n_by_m_temporary(usable_cpus) -> None:
+    """slcd() reads the data one block of samples at a time: on more than
+    three blocks its peak of new memory stays under half of X's bytes,
+    where a centred copy of X alone would take all of them."""
+    usable_cpus(1)
+    ds = sample(builtin_spec(2), 3 * _BLOCK + 7, 0)
+    _, peak = peak_bytes(lambda: slcd(ds, Hyperparams(restarts=1, iterations=1)))
+    assert peak < ds.X.nbytes / 2
 
 
 def _killed_restarts(ws, D0, tau, rounds, controls):
